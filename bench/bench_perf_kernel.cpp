@@ -1,25 +1,22 @@
-// Performance bench for the tail-inversion kernel: evaluation budgets and
-// wall clock of the precompiled TailKernel path against the seed's
-// adaptive-quadrature + bisection reference.
+// Performance bench for the tail-inversion kernel: evaluation budgets of
+// the precompiled TailKernel path against the adaptive-quadrature +
+// bisection oracle, and the wall clock of the Table-4 grid.
 //
 // Phase A counts tail evaluations per quantile over the paper's grid
-// (K x load x epsilon): the seed's bracket-doubling + 120-step bisection
-// on convolved_tail versus TailKernel::quantile (safeguarded Newton on
-// the compiled pole arrays), both measured from the obs counters
-// queueing.convolution.tail_evals / queueing.kernel.tail_evals.
+// (K x load x epsilon): bracket-doubling + 120-step bisection on the
+// quadrature oracle convolved_tail versus TailKernel::quantile
+// (safeguarded Newton on the compiled pole arrays), both measured from
+// the obs counters queueing.convolution.tail_evals /
+// queueing.kernel.tail_evals.
 //
-// Phase B times the full Table-4 dimensioning grid with the kernels off
-// (RttModelOptions::use_tail_kernel = false; everything else — warm
-// chaining, cache, once-per-probe model construction — identical) and
-// on, and checks the resulting cells agree.
+// Phase B times the full Table-4 dimensioning grid serially from a cold
+// cache and reports how many kernels compiled closed-form.
 //
 // Headline metrics:
-//   tail_eval_ratio      old evals / kernel evals per quantile
-//                        (acceptance: >= 10, deterministic)
-//   dimension_speedup    old wall time / kernel wall time for Table 4
-//                        (acceptance: >= 3, timing class)
-//   table4_max_abs_diff_rho / _rtt_ms   cell agreement between the paths
-//   quantile_max_abs_diff_s             phase-A quantile agreement
+//   tail_eval_ratio          oracle evals / kernel evals per quantile
+//                            (acceptance: >= 10, deterministic)
+//   quantile_max_abs_diff_s  phase-A quantile agreement
+//   table4_kernel_s          Table-4 wall time (timing class)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -54,8 +51,9 @@ std::uint64_t counter_value(const char* name) {
   return 0;
 }
 
-/// The seed's quantile loop: bracket doubling from a millisecond guess,
-/// then 120 bisection steps — every probe one convolved_tail call.
+/// The oracle's quantile loop: bracket doubling from a millisecond
+/// guess, then 120 bisection steps — every probe one convolved_tail
+/// call.
 double bisect_quantile(const fpsq::queueing::ErlangMixMgf& v,
                        const fpsq::queueing::ErlangMixture& y,
                        double epsilon) {
@@ -152,45 +150,14 @@ int main() {
   core::DimensioningTableSpec spec;
   spec.ks = {2, 5, 9, 14, 20};
   spec.rtt_bounds_ms = {40.0, 50.0, 60.0, 80.0, 100.0};
-  auto& cache = queueing::SolverCache::global();
   par::set_global_thread_count(1);  // isolate the per-probe math
-
-  core::DimensioningTableSpec old_spec = spec;
-  old_spec.use_tail_kernel = false;
-  cache.clear();
-  auto t0 = Clock::now();
-  const auto cells_old = core::dimension_table(old_spec);
-  const double table4_old_s = seconds_since(t0);
-
-  cache.clear();
-  t0 = Clock::now();
-  const auto cells_new = core::dimension_table(spec);
+  queueing::SolverCache::global().clear();
+  const auto t0 = Clock::now();
+  const auto cells = core::dimension_table(spec);
   const double table4_kernel_s = seconds_since(t0);
-
-  double max_diff_rho = 0.0;
-  double max_diff_rtt = 0.0;
-  for (std::size_t i = 0; i < cells_old.size(); ++i) {
-    max_diff_rho = std::max(max_diff_rho,
-                            std::abs(cells_old[i].result.rho_max -
-                                     cells_new[i].result.rho_max));
-    max_diff_rtt = std::max(max_diff_rtt,
-                            std::abs(cells_old[i].result.rtt_at_max_ms -
-                                     cells_new[i].result.rtt_at_max_ms));
-  }
-  const double speedup =
-      table4_kernel_s > 0.0 ? table4_old_s / table4_kernel_s : 0.0;
-  std::printf("\nTable-4 grid (%zu cells, serial):\n", cells_old.size());
-  std::printf("  quadrature + per-eval convolution  %8.3f s\n",
-              table4_old_s);
-  std::printf("  precompiled tail kernels           %8.3f s\n",
+  std::printf("\nTable-4 grid (%zu cells, serial): %8.3f s\n", cells.size(),
               table4_kernel_s);
-  std::printf("  speedup %.1fx, max cell diff rho %.2e / rtt %.2e ms\n",
-              speedup, max_diff_rho, max_diff_rtt);
-  jr.metric("table4_old_s", table4_old_s);
   jr.metric("table4_kernel_s", table4_kernel_s);
-  jr.metric("dimension_speedup", speedup);
-  jr.metric("table4_max_abs_diff_rho", max_diff_rho);
-  jr.metric("table4_max_abs_diff_rtt_ms", max_diff_rtt);
   jr.metric("kernel_closed_form_hits",
             static_cast<double>(
                 counter_value("queueing.kernel.closed_form_hits")));
@@ -199,7 +166,7 @@ int main() {
                 counter_value("queueing.kernel.quad_fallbacks")));
 
   bench::footnote(
-      "tail_eval_ratio >= 10 and dimension_speedup >= 3 are the kernel's"
-      " acceptance thresholds; diffs are old-path vs kernel-path cells.");
+      "tail_eval_ratio >= 10 is the kernel's acceptance threshold; the"
+      " quadrature oracle is the reference for the quantile diff.");
   return 0;
 }

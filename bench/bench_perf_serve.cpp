@@ -98,7 +98,6 @@ int main() {
   // Each request pays full process-start state: empty cache, one thread,
   // no batch to share work with.
   par::set_global_thread_count(1);
-  cache.set_enabled(true);
   std::vector<std::string> oneshot;
   oneshot.reserve(parsed.size());
   auto t0 = Clock::now();

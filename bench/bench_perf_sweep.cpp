@@ -1,14 +1,12 @@
 // Performance bench for the parallel sweep engine + solver cache: the
 // Table-4 dimensioning grid, a Figure-3 load sweep and a replication
-// batch, each timed serial-vs-parallel and cold-vs-warm-cache, with a
-// bit-identity check between the serial and parallel results.
+// batch, each timed serial-vs-parallel (and, for the analytic grids,
+// cold-vs-warm cache), with a bit-identity check between the results.
 //
 // Headline metrics:
-//   table4_speedup_parallel_cached   seed-style serial/no-cache wall time
-//                                    over parallel+cache wall time (the
-//                                    acceptance criterion's >= 3x on a
-//                                    4+-core machine)
-//   *_bit_identical                  1.0 when parallel == serial bitwise
+//   *_speedup         serial wall time over parallel (cold-cache) time
+//   *_bit_identical   1.0 when serial == parallel cold == parallel warm
+//                     bitwise
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -46,21 +44,12 @@ int main() {
   jr.metric("threads", hw);
 
   // ---- Table-4 dimensioning grid ---------------------------------------
-  // Seed behaviour: serial, no memoization (every probe re-solves).
   const auto spec = table4_spec();
   par::set_global_thread_count(1);
-  cache.set_enabled(false);
   cache.clear();
   auto t0 = Clock::now();
-  const auto serial_nocache = core::dimension_table(spec);
-  const double table4_serial_nocache_s = seconds_since(t0);
-
-  // Serial with the cache: the algorithmic win alone.
-  cache.set_enabled(true);
-  cache.clear();
-  t0 = Clock::now();
-  const auto serial_cached = core::dimension_table(spec);
-  const double table4_serial_cached_s = seconds_since(t0);
+  const auto serial = core::dimension_table(spec);
+  const double table4_serial_s = seconds_since(t0);
 
   // Parallel with a cold cache, then a warm rerun.
   par::set_global_thread_count(hw);
@@ -72,34 +61,27 @@ int main() {
   const auto parallel_warm = core::dimension_table(spec);
   const double table4_parallel_warm_s = seconds_since(t0);
 
-  bool identical = serial_nocache.size() == parallel_cold.size();
-  for (std::size_t i = 0; identical && i < serial_nocache.size(); ++i) {
-    identical = serial_nocache[i].result.rho_max ==
-                    parallel_cold[i].result.rho_max &&
-                serial_nocache[i].result.rtt_at_max_ms ==
-                    parallel_cold[i].result.rtt_at_max_ms &&
-                parallel_cold[i].result.rho_max ==
-                    parallel_warm[i].result.rho_max &&
-                serial_cached[i].result.rho_max ==
-                    parallel_cold[i].result.rho_max;
+  bool identical = serial.size() == parallel_cold.size() &&
+                   serial.size() == parallel_warm.size();
+  for (std::size_t i = 0; identical && i < serial.size(); ++i) {
+    for (const auto* other : {&parallel_cold[i], &parallel_warm[i]}) {
+      identical = identical &&
+                  serial[i].result.rho_max == other->result.rho_max &&
+                  serial[i].result.rtt_at_max_ms ==
+                      other->result.rtt_at_max_ms;
+    }
   }
-  std::printf("Table-4 grid (%zu cells):\n", serial_nocache.size());
-  std::printf("  serial, no cache   %8.3f s   (seed behaviour)\n",
-              table4_serial_nocache_s);
-  std::printf("  serial, cache      %8.3f s\n", table4_serial_cached_s);
+  std::printf("Table-4 grid (%zu cells):\n", serial.size());
+  std::printf("  serial             %8.3f s\n", table4_serial_s);
   std::printf("  parallel x%-2u cold  %8.3f s\n", hw,
               table4_parallel_cold_s);
   std::printf("  parallel x%-2u warm  %8.3f s\n", hw,
               table4_parallel_warm_s);
   std::printf("  bit-identical      %s\n", identical ? "yes" : "NO");
-  jr.metric("table4_serial_nocache_s", table4_serial_nocache_s);
-  jr.metric("table4_serial_cached_s", table4_serial_cached_s);
+  jr.metric("table4_serial_s", table4_serial_s);
   jr.metric("table4_parallel_cold_s", table4_parallel_cold_s);
   jr.metric("table4_parallel_warm_s", table4_parallel_warm_s);
-  jr.metric("table4_speedup_cache_only",
-            table4_serial_nocache_s / table4_serial_cached_s);
-  jr.metric("table4_speedup_parallel_cached",
-            table4_serial_nocache_s / table4_parallel_cold_s);
+  jr.metric("table4_speedup", table4_serial_s / table4_parallel_cold_s);
   jr.metric("table4_bit_identical", identical ? 1.0 : 0.0);
 
   // ---- Figure-3 load sweep ---------------------------------------------
@@ -109,17 +91,13 @@ int main() {
         sweep.scenario.clients_for_downlink_load(rho));
   }
   par::set_global_thread_count(1);
-  cache.set_enabled(false);
-  core::RttSweepSpec sweep_seed = sweep;
-  sweep_seed.use_cache = false;
-  sweep_seed.warm_chaining = false;
+  cache.clear();
   t0 = Clock::now();
-  const auto sweep_serial = core::sweep_rtt_quantiles(sweep_seed);
+  const auto sweep_serial = core::sweep_rtt_quantiles(sweep);
   const double sweep_serial_s = seconds_since(t0);
 
-  cache.set_enabled(true);
-  cache.clear();
   par::set_global_thread_count(hw);
+  cache.clear();
   t0 = Clock::now();
   const auto sweep_parallel = core::sweep_rtt_quantiles(sweep);
   const double sweep_parallel_s = seconds_since(t0);
@@ -127,31 +105,24 @@ int main() {
   const auto sweep_warm = core::sweep_rtt_quantiles(sweep);
   const double sweep_warm_s = seconds_since(t0);
 
-  double max_rel_err = 0.0;
-  bool sweep_identical =
-      sweep_parallel.size() == sweep_warm.size();
-  for (std::size_t i = 0; i < sweep_parallel.size(); ++i) {
-    // Warm chaining changes ulps vs the seed path by design; report the
-    // worst relative deviation, and demand exact equality between the
-    // cold and warm cached runs.
-    const double a = sweep_serial[i].rtt_quantile_ms;
-    const double b = sweep_parallel[i].rtt_quantile_ms;
-    max_rel_err = std::max(max_rel_err, std::abs(a - b) / a);
-    sweep_identical = sweep_identical &&
-                      b == sweep_warm[i].rtt_quantile_ms;
+  bool sweep_identical = sweep_serial.size() == sweep_parallel.size() &&
+                         sweep_serial.size() == sweep_warm.size();
+  for (std::size_t i = 0; sweep_identical && i < sweep_serial.size();
+       ++i) {
+    const double q = sweep_serial[i].rtt_quantile_ms;
+    sweep_identical = q == sweep_parallel[i].rtt_quantile_ms &&
+                      q == sweep_warm[i].rtt_quantile_ms;
   }
   std::printf("\nFigure-3 sweep (%zu points):\n", sweep.n_values.size());
-  std::printf("  serial seed path   %8.3f s\n", sweep_serial_s);
-  std::printf("  parallel+cache     %8.3f s (cold), %.3f s (warm)\n",
-              sweep_parallel_s, sweep_warm_s);
-  std::printf("  cold==warm bitwise %s, max |rel err| vs seed %.2e\n",
-              sweep_identical ? "yes" : "NO", max_rel_err);
+  std::printf("  serial             %8.3f s\n", sweep_serial_s);
+  std::printf("  parallel x%-2u       %8.3f s (cold), %.3f s (warm)\n",
+              hw, sweep_parallel_s, sweep_warm_s);
+  std::printf("  bit-identical      %s\n", sweep_identical ? "yes" : "NO");
   jr.metric("sweep_serial_s", sweep_serial_s);
   jr.metric("sweep_parallel_cold_s", sweep_parallel_s);
   jr.metric("sweep_parallel_warm_s", sweep_warm_s);
   jr.metric("sweep_speedup", sweep_serial_s / sweep_parallel_s);
   jr.metric("sweep_bit_identical", sweep_identical ? 1.0 : 0.0);
-  jr.metric("sweep_max_rel_err_vs_seed", max_rel_err);
 
   // ---- Independent replications ----------------------------------------
   sim::GamingScenarioConfig cfg;
@@ -199,7 +170,7 @@ int main() {
 
   par::set_global_thread_count(1);
   bench::footnote(
-      "Speedups vs the seed's serial/no-cache path; parallel results are"
+      "Speedups are serial over parallel wall time; parallel results are"
       " checked bit-identical against serial at every stage.");
   return 0;
 }

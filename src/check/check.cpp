@@ -214,8 +214,7 @@ class PointChecker {
   /// round trips on the total kernel down to eps = 1e-7.
   void check_model() {
     if (p_.scenario.erlang_k < 2) return;
-    auto model =
-        core::RttModel::create(p_.scenario, p_.n_clients, {});
+    auto model = core::RttModel::create(p_.scenario, p_.n_clients);
     if (!model) {
       solver_gate(model.error(), "rtt_model");
       return;
@@ -224,54 +223,47 @@ class PointChecker {
     const auto& upstream = m.upstream_burst_mgf();
     const auto& position = m.position_mixture();
 
+    const double floor_s = 1e-4 * p_.scenario.tick_ms * 1e-3;
     const queueing::TailKernel* total = m.total_kernel();
-    if (total != nullptr) {
-      const double scale =
-          std::max(total->mean(), 1e-4 * p_.scenario.tick_ms * 1e-3);
-      for (const double mult : kTailMultipliers) {
-        const double x = mult * scale;
-        std::string what = "total_tail";
-        append_g(what, "x", x);
-        compare(PathPair::kKernelVsOracle, what, total->tail(x),
-                queueing::convolved_tail(upstream, position, x),
+    for (const double mult : kTailMultipliers) {
+      const double x = mult * std::max(total->mean(), floor_s);
+      std::string what = "total_tail";
+      append_g(what, "x", x);
+      compare(PathPair::kKernelVsOracle, what, total->tail(x),
+              queueing::convolved_tail(upstream, position, x),
+              kOracleAbs, kOracleRel);
+    }
+    const auto tail = [total](double x) { return total->tail(x); };
+    const auto quant = [total](double e) { return total->quantile(e); };
+    for (const double eps : {p_.epsilon, 1e-2, 1e-5, 1e-7}) {
+      round_trip("total", tail, quant, eps);
+    }
+    // Probe the oracle at the kernel's own quantile: the abscissa the
+    // paper's dimensioning answers actually depend on.
+    try {
+      const double q = total->quantile(p_.epsilon);
+      if (q > 0.0) {
+        compare(PathPair::kKernelVsOracle, "total_tail_at_quantile",
+                total->tail(q),
+                queueing::convolved_tail(upstream, position, q),
                 kOracleAbs, kOracleRel);
       }
-      const auto tail = [total](double x) { return total->tail(x); };
-      const auto quant = [total](double e) { return total->quantile(e); };
-      for (const double eps : {p_.epsilon, 1e-2, 1e-5, 1e-7}) {
-        round_trip("total", tail, quant, eps);
-      }
-      // Probe the oracle at the kernel's own quantile: the abscissa the
-      // paper's dimensioning answers actually depend on.
-      try {
-        const double q = total->quantile(p_.epsilon);
-        if (q > 0.0) {
-          compare(PathPair::kKernelVsOracle, "total_tail_at_quantile",
-                  total->tail(q),
-                  queueing::convolved_tail(upstream, position, q),
-                  kOracleAbs, kOracleRel);
-        }
-      } catch (const err::SolverFailure& e) {
-        solver_mismatch(e.error(), "total_quantile", p_.epsilon);
-      }
+    } catch (const err::SolverFailure& e) {
+      solver_mismatch(e.error(), "total_quantile", p_.epsilon);
     }
 
     const queueing::TailKernel* down = m.downstream_kernel();
-    if (down != nullptr) {
-      const double scale =
-          std::max(down->mean(), 1e-4 * p_.scenario.tick_ms * 1e-3);
-      for (const double mult : {0.5, 2.0, 8.0}) {
-        const double x = mult * scale;
-        const double oracle =
-            m.burst_wait_dropped()
-                ? position.tail(x)
-                : queueing::convolved_tail(m.burst_wait_mgf(), position,
-                                           x);
-        std::string what = "down_tail";
-        append_g(what, "x", x);
-        compare(PathPair::kKernelVsOracle, what, down->tail(x), oracle,
-                kOracleAbs, kOracleRel);
-      }
+    for (const double mult : {0.5, 2.0, 8.0}) {
+      const double x = mult * std::max(down->mean(), floor_s);
+      const double oracle =
+          m.burst_wait_dropped()
+              ? position.tail(x)
+              : queueing::convolved_tail(m.burst_wait_mgf(), position,
+                                         x);
+      std::string what = "down_tail";
+      append_g(what, "x", x);
+      compare(PathPair::kKernelVsOracle, what, down->tail(x), oracle,
+              kOracleAbs, kOracleRel);
     }
   }
 

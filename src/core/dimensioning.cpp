@@ -1,25 +1,23 @@
 #include "core/dimensioning.h"
 
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace fpsq::core {
 
 DimensioningResult dimension_for_rtt(const AccessScenario& scenario,
                                      double rtt_bound_ms, double epsilon,
                                      CombinationMethod method,
-                                     double rho_tol, bool use_tail_kernel) {
+                                     double rho_tol) {
   return dimension_for_rtt_checked(scenario, rtt_bound_ms, epsilon, method,
-                                   rho_tol, use_tail_kernel)
+                                   rho_tol)
       .take_or_throw();
 }
 
 err::Result<DimensioningResult> dimension_for_rtt_checked(
     const AccessScenario& scenario, double rtt_bound_ms, double epsilon,
-    CombinationMethod method, double rho_tol, bool use_tail_kernel) {
+    CombinationMethod method, double rho_tol) {
   try {
     scenario.validate();
   } catch (const std::exception& ex) {
@@ -36,33 +34,20 @@ err::Result<DimensioningResult> dimension_for_rtt_checked(
                               scenario.deterministic_rtt_ms()};
   }
 
-  // Each probe builds its model (solver + tail kernels) exactly once,
-  // warm-chained from the previous probe's zeta roots; the quantile's
-  // Newton evaluations then all hit the same precompiled kernel.
-  std::unique_ptr<RttModel> prev;
+  // Each probe builds its model (solver + tail kernels) exactly once;
+  // the quantile's Newton evaluations then all hit the same precompiled
+  // kernel.
   auto rtt_at_load = [&](double rho) -> err::Result<double> {
-    const double n = scenario.clients_for_downlink_load(rho);
-    RttModelOptions opts;
-    opts.warm_neighbor = prev.get();
-    opts.use_tail_kernel = use_tail_kernel;
-    auto created = RttModel::create(scenario, n, opts);
-    if (!created.ok()) {
-      prev.reset();  // never chain off a failed probe
-      return created.error();
-    }
-    auto model =
-        std::make_unique<RttModel>(std::move(created).take_or_throw());
+    const auto created =
+        RttModel::create(scenario, scenario.clients_for_downlink_load(rho));
+    if (!created.ok()) return created.error();
     try {
-      const double rtt = model->rtt_quantile_ms(epsilon, method);
-      prev = std::move(model);
-      return rtt;
+      return created.value().rtt_quantile_ms(epsilon, method);
     } catch (const err::SolverFailure& ex) {
       // Inversion failure, already recorded at the throw site.
-      prev.reset();
       return ex.error();
     } catch (const std::exception& ex) {
       // Quantile evaluation failed after a successful solve.
-      prev.reset();
       const err::SolverError e{
           err::SolverErrorCode::kNonConvergence,
           std::string("dimension_for_rtt quantile: ") + ex.what()};

@@ -20,21 +20,19 @@ struct DimensioningResult {
 /// bisection on rho in (0, rho_stability) suffices.
 ///
 /// Each probed load builds its RttModel (and its precompiled tail
-/// kernels) exactly once, warm-chained from the previous probe; all tail
-/// evaluations of that probe's quantile Newton solve then reuse the same
-/// kernel. Savings are visible in the queueing.kernel.tail_evals counter.
+/// kernels) exactly once; all tail evaluations of that probe's quantile
+/// Newton solve then reuse the same kernel. Savings are visible in the
+/// queueing.kernel.tail_evals counter.
 ///
 /// @param epsilon        tail probability (paper: 1e-5)
 /// @param rtt_bound_ms   e.g. 50 ms = "excellent game play" per [11]
-/// @param use_tail_kernel  false = seed behaviour (adaptive quadrature +
-///                       bisection per probe), kept for benchmarking
 /// @throws std::invalid_argument / err::SolverFailure — thin wrapper over
 ///         dimension_for_rtt_checked()
 [[nodiscard]] DimensioningResult dimension_for_rtt(
     const AccessScenario& scenario, double rtt_bound_ms,
     double epsilon = 1e-5,
     CombinationMethod method = CombinationMethod::kFullInversion,
-    double rho_tol = 1e-4, bool use_tail_kernel = true);
+    double rho_tol = 1e-4);
 
 /// Non-throwing variant: any solver failure at any probed load surfaces
 /// as the structured error instead of unwinding through the bisection
@@ -43,6 +41,6 @@ struct DimensioningResult {
     const AccessScenario& scenario, double rtt_bound_ms,
     double epsilon = 1e-5,
     CombinationMethod method = CombinationMethod::kFullInversion,
-    double rho_tol = 1e-4, bool use_tail_kernel = true);
+    double rho_tol = 1e-4);
 
 }  // namespace fpsq::core

@@ -77,11 +77,10 @@ std::string scenario_report_markdown(const AccessScenario& scenario,
   {
     const auto& m = obs::RunManifest::current();
     os << "## Run manifest\n\n";
-    os << "| git sha | build | compiler | sanitizer | threads | cache |\n";
-    os << "|---|---|---|---|---|---|\n";
+    os << "| git sha | build | compiler | sanitizer | threads |\n";
+    os << "|---|---|---|---|---|\n";
     os << "| " << m.git_sha << " | " << m.build_type << " | " << m.compiler
-       << " | " << m.sanitizer << " | " << m.threads << " | "
-       << (m.cache_enabled ? "on" : "off") << " |\n\n";
+       << " | " << m.sanitizer << " | " << m.threads << " |\n\n";
     os << "_Generated " << m.timestamp_utc << " on " << m.hostname
        << " (schema " << m.schema << ")._\n\n";
   }

@@ -39,30 +39,24 @@ Complex decollide(Complex pole, const ErlangMixMgf& reference) {
 
 err::Result<RttModel> RttModel::create(const AccessScenario& scenario,
                                        double n_clients,
-                                       const RttModelOptions& options) {
+                                       UpstreamVariant upstream) {
   RttModel model;
-  if (auto e = model.init(scenario, n_clients, options)) {
+  if (auto e = model.init(scenario, n_clients, upstream)) {
     return *std::move(e);
   }
   return model;
 }
 
 RttModel::RttModel(const AccessScenario& scenario, double n_clients,
-                   UpstreamVariant upstream)
-    : RttModel(scenario, n_clients,
-               RttModelOptions{upstream, /*use_cache=*/true,
-                               /*warm_neighbor=*/nullptr}) {}
-
-RttModel::RttModel(const AccessScenario& scenario, double n_clients,
-                   const RttModelOptions& options) {
-  if (auto e = init(scenario, n_clients, options)) {
+                   UpstreamVariant upstream) {
+  if (auto e = init(scenario, n_clients, upstream)) {
     err::throw_solver_error(*e);
   }
 }
 
 std::optional<err::SolverError> RttModel::init(
     const AccessScenario& scenario, double n_clients,
-    const RttModelOptions& options) {
+    UpstreamVariant upstream) {
   scenario_ = scenario;
   n_ = n_clients;
   // Own validation failures are recorded here; errors propagated from the
@@ -102,53 +96,17 @@ std::optional<err::SolverError> RttModel::init(
       8.0 * n_ * scenario_.server_packet_bytes / scenario_.bottleneck_bps;
   auto& cache = queueing::SolverCache::global();
   if (scenario_.tick_jitter_cov > 0.0) {
-    auto arrivals = queueing::gamma_arrivals_mean_cov(
-        tick_s, scenario_.tick_jitter_cov);
-    if (options.use_cache) {
-      const queueing::GiEk1Solver* seed =
-          options.warm_neighbor != nullptr &&
-                  options.warm_neighbor->jittered_ != nullptr
-              ? options.warm_neighbor->jittered_.get()
-              : nullptr;
-      auto solved =
-          seed != nullptr
-              ? cache.giek1_chained_result(scenario_.erlang_k,
-                                           mean_burst_service_s, arrivals,
-                                           seed)
-              : cache.giek1_result(scenario_.erlang_k,
-                                   mean_burst_service_s, arrivals);
-      if (!solved.ok()) return solved.error();
-      jittered_ = std::move(solved).take_or_throw();
-    } else {
-      auto solved = queueing::GiEk1Solver::create(
-          scenario_.erlang_k, mean_burst_service_s, std::move(arrivals));
-      if (!solved.ok()) return solved.error();
-      jittered_ = std::make_shared<const queueing::GiEk1Solver>(
-          std::move(solved).take_or_throw());
-    }
+    auto solved = cache.giek1_result(
+        scenario_.erlang_k, mean_burst_service_s,
+        queueing::gamma_arrivals_mean_cov(tick_s,
+                                          scenario_.tick_jitter_cov));
+    if (!solved.ok()) return solved.error();
+    jittered_ = std::move(solved).take_or_throw();
   } else {
-    if (options.use_cache) {
-      const queueing::DEk1Solver* seed =
-          options.warm_neighbor != nullptr &&
-                  options.warm_neighbor->downstream_ != nullptr
-              ? options.warm_neighbor->downstream_.get()
-              : nullptr;
-      auto solved =
-          seed != nullptr
-              ? cache.dek1_chained_result(scenario_.erlang_k,
-                                          mean_burst_service_s, tick_s,
-                                          seed)
-              : cache.dek1_result(scenario_.erlang_k,
-                                  mean_burst_service_s, tick_s);
-      if (!solved.ok()) return solved.error();
-      downstream_ = std::move(solved).take_or_throw();
-    } else {
-      auto solved = queueing::DEk1Solver::create(
-          scenario_.erlang_k, mean_burst_service_s, tick_s);
-      if (!solved.ok()) return solved.error();
-      downstream_ = std::make_shared<const queueing::DEk1Solver>(
-          std::move(solved).take_or_throw());
-    }
+    auto solved = cache.dek1_result(scenario_.erlang_k,
+                                    mean_burst_service_s, tick_s);
+    if (!solved.ok()) return solved.error();
+    downstream_ = std::move(solved).take_or_throw();
   }
   const double beta = scenario_.erlang_k / mean_burst_service_s;
   position_ = std::make_unique<queueing::ErlangMixture>(
@@ -158,24 +116,12 @@ std::optional<err::SolverError> RttModel::init(
   const double lambda_up = n_ / tick_s;
   const double service_up =
       8.0 * scenario_.client_packet_bytes / scenario_.bottleneck_bps;
-  const bool want_paper = options.upstream == UpstreamVariant::kPaperEq14;
-  ErlangMixMgf up;
-  if (options.use_cache) {
-    auto md1 = cache.md1_result(lambda_up, service_up);
-    if (!md1.ok()) return md1.error();
-    const auto solution = std::move(md1).take_or_throw();
-    up = want_paper ? solution->paper : solution->asymptotic;
-  } else {
-    auto created = queueing::MD1::create(lambda_up, service_up);
-    if (!created.ok()) return created.error();
-    const queueing::MD1 md1 = std::move(created).take_or_throw();
-    try {
-      up = want_paper ? md1.paper_mgf() : md1.asymptotic_mgf();
-    } catch (const std::exception& ex) {
-      return fail(err::SolverErrorCode::kNonConvergence,
-                  std::string("RttModel upstream MGF: ") + ex.what());
-    }
-  }
+  auto md1 = cache.md1_result(lambda_up, service_up);
+  if (!md1.ok()) return md1.error();
+  const auto solution = std::move(md1).take_or_throw();
+  ErlangMixMgf up = upstream == UpstreamVariant::kPaperEq14
+                        ? solution->paper
+                        : solution->asymptotic;
   // Keep the upstream pole clear of the D/E_K/1 pole set before the
   // simple-pole product below.
   if (!up.terms().empty()) {
@@ -206,19 +152,17 @@ std::optional<err::SolverError> RttModel::init(
 
   // Precompile the tail kernels: one closed-form (or GL-fallback)
   // evaluator per law, shared by every subsequent tail/quantile query.
-  if (options.use_tail_kernel) {
-    try {
-      total_kernel_ =
-          std::make_unique<const queueing::TailKernel>(upw_, *position_);
-      downstream_kernel_ =
-          burst_dropped_
-              ? std::make_unique<const queueing::TailKernel>(*position_)
-              : std::make_unique<const queueing::TailKernel>(
-                    burst_wait_mgf(), *position_);
-    } catch (const std::exception& ex) {
-      return fail(err::SolverErrorCode::kIllConditioned,
-                  std::string("RttModel tail kernel: ") + ex.what());
-    }
+  try {
+    total_kernel_ =
+        std::make_unique<const queueing::TailKernel>(upw_, *position_);
+    downstream_kernel_ =
+        burst_dropped_
+            ? std::make_unique<const queueing::TailKernel>(*position_)
+            : std::make_unique<const queueing::TailKernel>(
+                  burst_wait_mgf(), *position_);
+  } catch (const std::exception& ex) {
+    return fail(err::SolverErrorCode::kIllConditioned,
+                std::string("RttModel tail kernel: ") + ex.what());
   }
   return std::nullopt;
 }
@@ -276,34 +220,22 @@ double RttModel::total_mgf_value(double s) const {
 }
 
 double RttModel::total_tail(double x_s) const {
-  if (total_kernel_) return total_kernel_->tail(x_s);
-  return queueing::convolved_tail(upw_, *position_, x_s);
+  return total_kernel_->tail(x_s);
 }
 
 double RttModel::downstream_tail(double x_s) const {
-  if (downstream_kernel_) return downstream_kernel_->tail(x_s);
-  if (burst_dropped_) {
-    return position_->tail(x_s);
-  }
-  return queueing::convolved_tail(burst_wait_mgf(), *position_, x_s);
+  return downstream_kernel_->tail(x_s);
 }
 
 double RttModel::downstream_quantile_ms(double epsilon) const {
-  if (downstream_kernel_) return downstream_kernel_->quantile(epsilon) * 1e3;
-  if (burst_dropped_) {
-    return position_->quantile(epsilon) * 1e3;
-  }
-  return queueing::convolved_quantile(burst_wait_mgf(), *position_,
-                                      epsilon) *
-         1e3;
+  return downstream_kernel_->quantile(epsilon) * 1e3;
 }
 
 double RttModel::stochastic_quantile_ms(double epsilon,
                                         CombinationMethod method) const {
   switch (method) {
     case CombinationMethod::kFullInversion:
-      if (total_kernel_) return total_kernel_->quantile(epsilon) * 1e3;
-      return queueing::convolved_quantile(upw_, *position_, epsilon) * 1e3;
+      return total_kernel_->quantile(epsilon) * 1e3;
     case CombinationMethod::kDominantPole: {
       // Dominant pole of eq. (35): the smallest-real-part pole among
       // {gamma, alpha_j, beta}. Its residue is evaluated from the factored

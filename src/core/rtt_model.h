@@ -37,32 +37,13 @@ enum class UpstreamVariant {
   kAsymptotic,  ///< atom chosen to match the exact M/D/1 tail constant
 };
 
-class RttModel;
-
-/// Construction knobs beyond the scenario itself.
-struct RttModelOptions {
-  UpstreamVariant upstream = UpstreamVariant::kPaperEq14;
-  /// Route solver construction through queueing::SolverCache::global():
-  /// repeated evaluations at (quantized-)equal parameters share one
-  /// canonical solution. Off = always solve fresh (the seed behaviour).
-  bool use_cache = true;
-  /// Optional adjacent-point model (same K, nearby load) whose zeta
-  /// roots seed the downstream fixed-point search. Only honoured on a
-  /// cache miss; see SolverCache::dek1_chained for the determinism
-  /// rules. May be null.
-  const RttModel* warm_neighbor = nullptr;
-  /// Precompile queueing::TailKernel evaluators for the combined and
-  /// downstream laws at construction, so tails and quantiles run on the
-  /// SoA pole arrays + Newton instead of adaptive quadrature + bisection.
-  /// Off = the seed's convolved_tail/convolved_quantile path (kept as the
-  /// reference oracle and for benchmarks).
-  bool use_tail_kernel = true;
-};
-
 class RttModel {
  public:
   /// Non-throwing factory: the construction path used by the batch
-  /// drivers (core::sweep_rtt_quantiles, dimension_table). Errors:
+  /// drivers (core::sweep_rtt_quantiles, dimension_table). The solvers
+  /// come from queueing::SolverCache::global(), whose entries are the
+  /// canonical solves, so a model is a pure function of its arguments.
+  /// Errors:
   ///   - kBadParameters   invalid scenario, n <= 0, K < 2
   ///   - kUnstable        rho_up >= 1 or rho_down >= 1
   ///   - kNonConvergence  a solver root/fixed-point search failed
@@ -71,7 +52,7 @@ class RttModel {
   /// plus whatever err::fault_check injects at the queueing.* sites.
   [[nodiscard]] static err::Result<RttModel> create(
       const AccessScenario& scenario, double n_clients,
-      const RttModelOptions& options = {});
+      UpstreamVariant upstream = UpstreamVariant::kPaperEq14);
 
   /// @param scenario   network/traffic parameters (validated)
   /// @param n_clients  number of gamers (may be fractional: the model is
@@ -81,10 +62,6 @@ class RttModel {
   ///         MGF of eq. 34, which requires K >= 2)
   RttModel(const AccessScenario& scenario, double n_clients,
            UpstreamVariant upstream = UpstreamVariant::kPaperEq14);
-
-  /// Full-options constructor (cache routing, warm starts).
-  RttModel(const AccessScenario& scenario, double n_clients,
-           const RttModelOptions& options);
 
   [[nodiscard]] const AccessScenario& scenario() const noexcept {
     return scenario_;
@@ -118,13 +95,13 @@ class RttModel {
     return upw_;
   }
 
-  /// Precompiled evaluator of the total stochastic law D_u + W + P, or
-  /// null when options.use_tail_kernel was off.
+  /// Precompiled evaluator of the total stochastic law D_u + W + P
+  /// (never null).
   [[nodiscard]] const queueing::TailKernel* total_kernel() const noexcept {
     return total_kernel_.get();
   }
   /// Precompiled evaluator of the downstream law W + P (P alone when the
-  /// burst wait was dropped), or null when kernels are off.
+  /// burst wait was dropped; never null).
   [[nodiscard]] const queueing::TailKernel* downstream_kernel()
       const noexcept {
     return downstream_kernel_.get();
@@ -178,7 +155,7 @@ class RttModel {
 
   [[nodiscard]] std::optional<err::SolverError> init(
       const AccessScenario& scenario, double n_clients,
-      const RttModelOptions& options);
+      UpstreamVariant upstream);
 
   AccessScenario scenario_;
   double n_ = 0.0;
@@ -186,16 +163,15 @@ class RttModel {
   double rho_down_ = 0.0;
   bool burst_dropped_ = false;
   queueing::ErlangMixMgf upstream_;
-  // Shared with queueing::SolverCache when options.use_cache (the solvers
-  // are immutable after construction, so sharing is safe); sole owners
-  // otherwise.
+  // Shared with queueing::SolverCache (the solvers are immutable after
+  // construction, so sharing is safe).
   std::shared_ptr<const queueing::DEk1Solver> downstream_;  ///< det ticks
   std::shared_ptr<const queueing::GiEk1Solver> jittered_;   ///< jittered
   std::unique_ptr<queueing::ErlangMixture> position_;
   queueing::ErlangMixMgf upw_;  ///< D_u * W (or D_u alone if W dropped)
-  // Compiled once in init() (options.use_tail_kernel); every tail and
-  // quantile query below then reuses them instead of re-deriving the
-  // combined law per evaluation point.
+  // Compiled once in init(); every tail and quantile query below then
+  // reuses them instead of re-deriving the combined law per evaluation
+  // point.
   std::unique_ptr<const queueing::TailKernel> total_kernel_;
   std::unique_ptr<const queueing::TailKernel> downstream_kernel_;
 

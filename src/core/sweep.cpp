@@ -1,10 +1,7 @@
 #include "core/sweep.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <map>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -13,16 +10,10 @@
 #include "obs/trace.h"
 #include "par/thread_pool.h"
 #include "queueing/bounds.h"
-#include "queueing/solver_cache.h"
 
 namespace fpsq::core {
 
 namespace {
-
-/// Points per warm-chained run. Fixed (never derived from the thread
-/// count) so the chain structure — which point seeds which — is the same
-/// at any parallelism, which is what makes the sweep bit-identical.
-constexpr std::size_t kWarmChunk = 8;
 
 /// Inverts Kingman's heavy-traffic tail P(W > x) ~ rho e^{-rho x / W}
 /// for the epsilon-quantile [s]; zero when the tail never reaches
@@ -109,78 +100,53 @@ std::vector<RttSweepPoint> sweep_rtt_quantiles(const RttSweepSpec& spec) {
   std::vector<RttSweepPoint> out(n_points);
   if (n_points == 0) return out;
 
-  // Collapse points that quantize to the same solver key: they would
-  // produce (at most ulp-)different results depending on where they land
-  // in a warm chain, so evaluate each distinct value once and copy.
-  std::map<std::int64_t, std::size_t> first_with_key;
-  std::vector<std::size_t> unique_idx;   // index into n_values
-  std::vector<std::size_t> source(n_points);  // out[i] = out-of[source[i]]
-  unique_idx.reserve(n_points);
-  for (std::size_t i = 0; i < n_points; ++i) {
-    const auto key = queueing::SolverCache::quantize(spec.n_values[i]);
-    const auto [it, inserted] =
-        first_with_key.emplace(key, unique_idx.size());
-    if (inserted) unique_idx.push_back(i);
-    source[i] = it->second;  // position in unique list
-  }
-
-  std::vector<RttSweepPoint> unique_out(unique_idx.size());
-  par::global_pool().parallel_for_chunks(
-      unique_idx.size(), kWarmChunk,
-      [&](std::size_t begin, std::size_t end) {
-        // Chain warm starts across the chunk: point i seeds point i+1.
-        // The chunk head solves canonically (and may populate the shared
-        // cache); every later point is a function of the head alone.
-        std::unique_ptr<RttModel> prev;
-        for (std::size_t u = begin; u < end; ++u) {
-          const double n = spec.n_values[unique_idx[u]];
-          const RttModelOptions opts{
-              spec.upstream, spec.use_cache,
-              spec.warm_chaining ? prev.get() : nullptr,
-              spec.use_tail_kernel};
-          auto created = RttModel::create(spec.scenario, n, opts);
-          if (!created.ok()) {
-            if (spec.on_failure == err::FailurePolicy::kThrow) {
-              err::throw_solver_error(created.error());  // pool rethrows
-            }
-            unique_out[u] = failed_sweep_point(spec, n, created.error());
-            // Never seed the next point from a failed one: the chain
-            // restarts canonically, exactly as at a chunk head.
-            prev.reset();
-            continue;
-          }
-          auto model = std::make_unique<RttModel>(
-              std::move(created).take_or_throw());
-          RttSweepPoint p;
-          p.n_clients = n;
-          p.rho_up = model->rho_up();
-          p.rho_down = model->rho_down();
-          try {
-            p.rtt_quantile_ms =
-                model->rtt_quantile_ms(spec.epsilon, spec.method);
-            p.rtt_mean_ms = model->rtt_mean_ms();
-            p.downstream_quantile_ms =
-                model->downstream_quantile_ms(spec.epsilon);
-          } catch (const err::SolverFailure& ex) {
-            // Quantile inversion failed after a successful solve (already
-            // recorded at the throw site): degrade this point under the
-            // same policy as a construction failure.
-            if (spec.on_failure == err::FailurePolicy::kThrow) throw;
-            unique_out[u] = failed_sweep_point(spec, n, ex.error());
-            prev.reset();
-            continue;
-          }
-          p.burst_wait_dropped = model->burst_wait_dropped();
-          unique_out[u] = p;
-          prev = std::move(model);
-        }
-      });
-
-  for (std::size_t i = 0; i < n_points; ++i) {
-    out[i] = unique_out[source[i]];
-    out[i].n_clients = spec.n_values[i];
-  }
+  par::global_pool().parallel_for(n_points, [&](std::size_t i) {
+    const double n = spec.n_values[i];
+    const auto created = RttModel::create(spec.scenario, n, spec.upstream);
+    if (!created.ok()) {
+      if (spec.on_failure == err::FailurePolicy::kThrow) {
+        err::throw_solver_error(created.error());  // pool rethrows
+      }
+      out[i] = failed_sweep_point(spec, n, created.error());
+      return;
+    }
+    const RttModel& model = created.value();
+    RttSweepPoint p;
+    p.n_clients = n;
+    p.rho_up = model.rho_up();
+    p.rho_down = model.rho_down();
+    try {
+      p.rtt_quantile_ms = model.rtt_quantile_ms(spec.epsilon, spec.method);
+      p.rtt_mean_ms = model.rtt_mean_ms();
+      p.downstream_quantile_ms = model.downstream_quantile_ms(spec.epsilon);
+    } catch (const err::SolverFailure& ex) {
+      // Quantile inversion failed after a successful solve (already
+      // recorded at the throw site): degrade this point under the same
+      // policy as a construction failure.
+      if (spec.on_failure == err::FailurePolicy::kThrow) throw;
+      out[i] = failed_sweep_point(spec, n, ex.error());
+      return;
+    }
+    p.burst_wait_dropped = model.burst_wait_dropped();
+    out[i] = std::move(p);
+  });
   return out;
+}
+
+LoadSweep sweep_load_grid(const AccessScenario& scenario, double epsilon,
+                          double step) {
+  LoadSweep sweep;
+  RttSweepSpec spec;
+  spec.scenario = scenario;
+  spec.epsilon = epsilon;
+  for (double rho = step; rho < 0.95; rho += step) {
+    const double n = scenario.clients_for_downlink_load(rho);
+    if (scenario.uplink_load(n) >= 0.999) break;
+    sweep.loads.push_back(rho);
+    spec.n_values.push_back(n);
+  }
+  sweep.points = sweep_rtt_quantiles(spec);
+  return sweep;
 }
 
 std::vector<DimensioningCell> dimension_table(
@@ -204,7 +170,7 @@ std::vector<DimensioningCell> dimension_table(
         cell.rtt_bound_ms = spec.rtt_bounds_ms[bi];
         auto result = dimension_for_rtt_checked(
             scenario, cell.rtt_bound_ms, spec.epsilon, spec.method,
-            spec.rho_tol, spec.use_tail_kernel);
+            spec.rho_tol);
         if (result.ok()) {
           cell.result = std::move(result).take_or_throw();
         } else {

@@ -4,13 +4,10 @@
 // queueing::SolverCache.
 //
 // Determinism contract (matching par::ThreadPool): each driver returns
-// results in input order and is bit-identical at any thread count.
-// sweep_rtt_quantiles additionally warm-starts the zeta search along
-// runs of adjacent points; to keep that deterministic the points are
-// processed in fixed chunks whose boundaries depend only on the input
-// size, duplicated (quantized-equal) points are collapsed before
-// chunking, and chained solves are never published to the shared cache
-// (see queueing/solver_cache.h).
+// results in input order and is bit-identical at any thread count. Every
+// point is an independent evaluation whose solvers come from the
+// exact-keyed cache, so a result never depends on which other points
+// ran before it.
 #pragma once
 
 #include <string>
@@ -50,11 +47,6 @@ struct RttSweepSpec {
   double epsilon = 1e-5;
   CombinationMethod method = CombinationMethod::kFullInversion;
   UpstreamVariant upstream = UpstreamVariant::kPaperEq14;
-  bool use_cache = true;      ///< route solvers through SolverCache
-  bool warm_chaining = true;  ///< zeta warm starts along chunk runs
-  /// Precompiled TailKernel evaluators per model (SoA poles + Newton
-  /// quantiles); false = the seed's quadrature/bisection reference path.
-  bool use_tail_kernel = true;
   /// What a failed point does to the sweep: kFallbackBound (default)
   /// substitutes the Kingman bound (flagging the point, or just marking
   /// it failed when the bound is unavailable, e.g. rho >= 1); kFlag
@@ -67,6 +59,19 @@ struct RttSweepSpec {
 /// the global pool. Results are in spec.n_values order.
 [[nodiscard]] std::vector<RttSweepPoint> sweep_rtt_quantiles(
     const RttSweepSpec& spec);
+
+/// A sweep over a regular grid of downlink loads.
+struct LoadSweep {
+  std::vector<double> loads;          ///< the grid, as requested
+  std::vector<RttSweepPoint> points;  ///< one per load, same order
+};
+
+/// The load sweep of `fpsq sweep` and the serve "sweep" op: downlink
+/// loads step, 2 step, ... below 0.95, stopping before the uplink load
+/// reaches 0.999, each evaluated by sweep_rtt_quantiles with the
+/// default spec (Kingman fallback on failure).
+[[nodiscard]] LoadSweep sweep_load_grid(const AccessScenario& scenario,
+                                        double epsilon, double step);
 
 /// One cell of the Table-4 dimensioning grid.
 struct DimensioningCell {
@@ -87,8 +92,6 @@ struct DimensioningTableSpec {
   double epsilon = 1e-5;
   CombinationMethod method = CombinationMethod::kFullInversion;
   double rho_tol = 1e-4;
-  /// See RttSweepSpec::use_tail_kernel.
-  bool use_tail_kernel = true;
   /// kThrow rethrows the first failure through the pool (aborting the
   /// grid); anything else flags the failing cell and keeps going. A
   /// dimensioning bisection has no meaningful bound substitute, so

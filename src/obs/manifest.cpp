@@ -99,8 +99,6 @@ std::string RunManifest::to_json() const {
   field("hostname", hostname);
   field("timestamp_utc", timestamp_utc);
   out += ",\"threads\":" + std::to_string(threads);
-  out += ",\"cache_enabled\":";
-  out += cache_enabled ? "true" : "false";
   out += ",\"seed\":";
   out += has_seed ? std::to_string(seed) : "null";
   out += "}";

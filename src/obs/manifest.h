@@ -6,7 +6,7 @@
 // Build-time fields (git sha, build type, compiler, sanitizer, the
 // FPSQ_NO_METRICS switch) are baked in by CMake; host/time fields are
 // captured once per process on first access, so every manifest written
-// by one run is identical. Run-scoped fields (threads, cache, seed) are
+// by one run is identical. Run-scoped fields (threads, seed) are
 // mutable: the CLI and the benches set them from their actual
 // configuration before exporting anything.
 #pragma once
@@ -26,7 +26,6 @@ struct RunManifest {
   std::string hostname;
   std::string timestamp_utc;  ///< ISO 8601, captured at process start
   unsigned threads = 0;       ///< worker count (hardware default until set)
-  bool cache_enabled = true;  ///< solver memoization on/off
   bool has_seed = false;      ///< seed is meaningful only when set
   std::uint64_t seed = 0;
 

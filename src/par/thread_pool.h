@@ -8,10 +8,9 @@
 // returned vector is identical at any thread count provided body(i)
 // depends only on i (and on state that is itself thread-count
 // independent). Chunk boundaries are a function of n and the requested
-// chunk size alone — never of the thread count — so drivers that chain
-// state across adjacent indices *within* a chunk (see
-// core::sweep_rtt_quantiles) stay bit-identical from --threads 1 to
-// --threads 64.
+// chunk size alone — never of the thread count — so a body that carries
+// state across adjacent indices *within* a chunk stays bit-identical
+// from --threads 1 to --threads 64.
 //
 // Observability: the pool publishes
 //     par.pool.threads            gauge     configured worker count
@@ -52,8 +51,7 @@ class ThreadPool {
                     std::size_t chunk = 0);
 
   /// Chunk-granular variant: body(begin, end) receives each contiguous
-  /// index range. This is the hook for drivers that carry warm-start
-  /// state from index i to i+1 within a chunk.
+  /// index range (the primitive parallel_for is built on).
   void parallel_for_chunks(
       std::size_t n, std::size_t chunk,
       const std::function<void(std::size_t, std::size_t)>& body);

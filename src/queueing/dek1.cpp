@@ -15,28 +15,26 @@
 
 namespace fpsq::queueing {
 
-err::Result<DEk1Solver> DEk1Solver::create(
-    int k, double mean_service_s, double period_s,
-    const std::vector<Complex>* seed_zetas) {
+err::Result<DEk1Solver> DEk1Solver::create(int k, double mean_service_s,
+                                           double period_s) {
   DEk1Solver solver;
-  if (auto e = solver.init(k, mean_service_s, period_s, seed_zetas)) {
+  if (auto e = solver.init(k, mean_service_s, period_s)) {
     err::record_failure(*e);
     return *std::move(e);
   }
   return solver;
 }
 
-DEk1Solver::DEk1Solver(int k, double mean_service_s, double period_s,
-                       const std::vector<Complex>* seed_zetas) {
-  if (auto e = init(k, mean_service_s, period_s, seed_zetas)) {
+DEk1Solver::DEk1Solver(int k, double mean_service_s, double period_s) {
+  if (auto e = init(k, mean_service_s, period_s)) {
     err::record_failure(*e);
     err::throw_solver_error(*e);
   }
 }
 
-std::optional<err::SolverError> DEk1Solver::init(
-    int k, double mean_service_s, double period_s,
-    const std::vector<Complex>* seed_zetas) {
+std::optional<err::SolverError> DEk1Solver::init(int k,
+                                                 double mean_service_s,
+                                                 double period_s) {
   k_ = k;
   service_s_ = mean_service_s;
   period_s_ = period_s;
@@ -64,9 +62,6 @@ std::optional<err::SolverError> DEk1Solver::init(
   zetas_.reserve(static_cast<std::size_t>(k_));
   poles_.reserve(static_cast<std::size_t>(k_));
   const double inv_rho = 1.0 / rho_;
-  const bool warm =
-      seed_zetas != nullptr &&
-      seed_zetas->size() == static_cast<std::size_t>(k_);
   const Complex unit_rot =
       std::exp(Complex{0.0, 2.0 * M_PI / static_cast<double>(k_)});
   for (int j = 0; j < k_; ++j) {
@@ -77,16 +72,11 @@ std::optional<err::SolverError> DEk1Solver::init(
       return rot * std::exp((z - Complex{1.0, 0.0}) * inv_rho);
     };
     auto dF = [inv_rho, &F](Complex z) { return F(z) * inv_rho; };
-    // Seed policy (deterministic in the parameters + optional warm-start
-    // vector): an adjacent point's root j when supplied, else our own
-    // root j-1 rotated one K-th of a turn (the roots lie approximately on
-    // a circle), else the cold start z = 0.
+    // Seed policy (deterministic in the parameters): our own root j-1
+    // rotated one K-th of a turn (the roots lie approximately on a
+    // circle), else the cold start z = 0.
     Complex z0{0.0, 0.0};
-    if (warm) {
-      z0 = (*seed_zetas)[static_cast<std::size_t>(j)];
-    } else if (j > 0) {
-      z0 = zetas_.back() * unit_rot;
-    }
+    if (j > 0) z0 = zetas_.back() * unit_rot;
     if (!(z0.real() < 1.0)) z0 = Complex{0.0, 0.0};
     const auto res = math::solve_fixed_point(F, dF, z0, 1e-15, 20000);
     if (!res.converged) {

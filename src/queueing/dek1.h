@@ -31,26 +31,15 @@ class DEk1Solver {
   ///   - kIllConditioned  Vandermonde weights yield an atom outside [0, 1]
   /// Fault-injection site: "queueing.dek1" (tag = rho).
   [[nodiscard]] static err::Result<DEk1Solver> create(
-      int k, double mean_service_s, double period_s,
-      const std::vector<Complex>* seed_zetas = nullptr);
+      int k, double mean_service_s, double period_s);
 
   /// @param k               Erlang order of the burst size (>= 1)
   /// @param mean_service_s  mean burst service time b = E[burst]/rate [s]
   /// @param period_s        burst inter-arrival time T [s]
-  /// @param seed_zetas      optional warm start: the zeta roots of an
-  ///                        adjacent parameter point (same k) seed the
-  ///                        fixed-point iteration instead of z = 0. Each
-  ///                        root equation has a unique solution in
-  ///                        Re z < 1, so seeding changes the iteration
-  ///                        count, never the root reached. Without seeds
-  ///                        the solver chains internally: root j starts
-  ///                        from root j-1 rotated by e^{2 pi i / K} — a
-  ///                        deterministic function of the parameters.
   /// @throws std::invalid_argument unless 0 < b < T (stability) and k >= 1
   /// @throws err::SolverFailure on numerical failure (non-convergence,
   ///         ill-conditioned weights); thin wrapper over create().
-  DEk1Solver(int k, double mean_service_s, double period_s,
-             const std::vector<Complex>* seed_zetas = nullptr);
+  DEk1Solver(int k, double mean_service_s, double period_s);
 
   [[nodiscard]] int k() const noexcept { return k_; }
   [[nodiscard]] double rho() const noexcept { return rho_; }
@@ -110,8 +99,7 @@ class DEk1Solver {
 
   /// Does the actual solve; returns the error instead of throwing.
   [[nodiscard]] std::optional<err::SolverError> init(
-      int k, double mean_service_s, double period_s,
-      const std::vector<Complex>* seed_zetas);
+      int k, double mean_service_s, double period_s);
 
   int k_ = 0;
   double service_s_ = 0.0;

@@ -52,12 +52,10 @@ ArrivalTransform gamma_arrivals_mean_cov(double mean_s, double cov) {
   return gamma_arrivals(shape, shape / mean_s);
 }
 
-err::Result<GiEk1Solver> GiEk1Solver::create(
-    int k, double mean_service_s, ArrivalTransform arrivals,
-    const std::vector<Complex>* seed_zetas) {
+err::Result<GiEk1Solver> GiEk1Solver::create(int k, double mean_service_s,
+                                             ArrivalTransform arrivals) {
   GiEk1Solver solver;
-  if (auto e =
-          solver.init(k, mean_service_s, std::move(arrivals), seed_zetas)) {
+  if (auto e = solver.init(k, mean_service_s, std::move(arrivals))) {
     err::record_failure(*e);
     return *std::move(e);
   }
@@ -65,17 +63,15 @@ err::Result<GiEk1Solver> GiEk1Solver::create(
 }
 
 GiEk1Solver::GiEk1Solver(int k, double mean_service_s,
-                         ArrivalTransform arrivals,
-                         const std::vector<Complex>* seed_zetas) {
-  if (auto e = init(k, mean_service_s, std::move(arrivals), seed_zetas)) {
+                         ArrivalTransform arrivals) {
+  if (auto e = init(k, mean_service_s, std::move(arrivals))) {
     err::record_failure(*e);
     err::throw_solver_error(*e);
   }
 }
 
 std::optional<err::SolverError> GiEk1Solver::init(
-    int k, double mean_service_s, ArrivalTransform arrivals,
-    const std::vector<Complex>* seed_zetas) {
+    int k, double mean_service_s, ArrivalTransform arrivals) {
   k_ = k;
   service_s_ = mean_service_s;
   arrivals_ = std::move(arrivals);
@@ -104,9 +100,6 @@ std::optional<err::SolverError> GiEk1Solver::init(
   zetas_.reserve(static_cast<std::size_t>(k_));
   poles_.reserve(static_cast<std::size_t>(k_));
   const double inv_k = 1.0 / static_cast<double>(k_);
-  const bool warm =
-      seed_zetas != nullptr &&
-      seed_zetas->size() == static_cast<std::size_t>(k_);
   const Complex unit_rot =
       std::exp(Complex{0.0, 2.0 * M_PI / static_cast<double>(k_)});
   for (int j = 0; j < k_; ++j) {
@@ -128,11 +121,7 @@ std::optional<err::SolverError> GiEk1Solver::init(
     // within ~1e-6 of 1 and F(z) - z is evaluated with cancellation, so
     // demanding much below 1e-12 chases rounding noise.
     Complex z0{0.0, 0.0};
-    if (warm) {
-      z0 = (*seed_zetas)[static_cast<std::size_t>(j)];
-    } else if (j > 0) {
-      z0 = zetas_.back() * unit_rot;
-    }
+    if (j > 0) z0 = zetas_.back() * unit_rot;
     if (!(std::abs(z0) < 1.0)) z0 = Complex{0.0, 0.0};
     const auto res = math::solve_fixed_point(map, dmap, z0, 1e-12, 50000);
     if (!res.converged) {

@@ -65,20 +65,14 @@ class GiEk1Solver {
   /// kBadParameters, kUnstable, kNonConvergence, kIllConditioned).
   /// Fault-injection site: "queueing.giek1" (tag = rho).
   [[nodiscard]] static err::Result<GiEk1Solver> create(
-      int k, double mean_service_s, ArrivalTransform arrivals,
-      const std::vector<Complex>* seed_zetas = nullptr);
+      int k, double mean_service_s, ArrivalTransform arrivals);
 
   /// @param k               Erlang service order (>= 1)
   /// @param mean_service_s  mean burst service time [s]
   /// @param arrivals        interarrival transform; rho = b/E[A] < 1
-  /// @param seed_zetas      optional warm start (see DEk1Solver): an
-  ///                        adjacent point's roots seed the fixed-point
-  ///                        search; without it, root j is seeded from
-  ///                        root j-1 rotated by e^{2 pi i / K}.
   /// @throws std::invalid_argument on bad parameters or instability;
   ///         err::SolverFailure on numerical failure (wrapper of create()).
-  GiEk1Solver(int k, double mean_service_s, ArrivalTransform arrivals,
-              const std::vector<Complex>* seed_zetas = nullptr);
+  GiEk1Solver(int k, double mean_service_s, ArrivalTransform arrivals);
 
   [[nodiscard]] int k() const noexcept { return k_; }
   [[nodiscard]] double rho() const noexcept { return rho_; }
@@ -112,8 +106,7 @@ class GiEk1Solver {
   GiEk1Solver() = default;  // used by create(); init() populates the state
 
   [[nodiscard]] std::optional<err::SolverError> init(
-      int k, double mean_service_s, ArrivalTransform arrivals,
-      const std::vector<Complex>* seed_zetas);
+      int k, double mean_service_s, ArrivalTransform arrivals);
 
   int k_ = 0;
   double service_s_ = 0.0;

@@ -1,7 +1,6 @@
 #include "queueing/solver_cache.h"
 
-#include <cmath>
-#include <cstring>
+#include <bit>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -10,23 +9,15 @@
 
 namespace fpsq::queueing {
 
-std::int64_t SolverCache::quantize(double v) noexcept {
-  if (v == 0.0) return 0;
-  if (!std::isfinite(v)) return std::signbit(v) ? -1 : 1;
-  // Bit pattern of a finite double, with the bottom 8 mantissa bits
-  // dropped: sign + exponent + top 44 mantissa bits survive, giving a
-  // relative quantum of 2^-44 ~ 6e-14. Monotone in |v| per sign, so
-  // equal-to-that-precision parameters collide and everything else
-  // separates.
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  bits >>= 8;
-  return static_cast<std::int64_t>(bits);
-}
-
 namespace {
 
+/// Parameters keyed by their exact bit patterns: distinct doubles never
+/// share an entry.
 using Key = std::vector<std::int64_t>;
+
+std::int64_t bits(double v) noexcept {
+  return std::bit_cast<std::int64_t>(v);
+}
 
 template <typename V>
 using CacheMap = std::map<Key, std::shared_ptr<const V>>;
@@ -35,7 +26,6 @@ using CacheMap = std::map<Key, std::shared_ptr<const V>>;
 
 struct SolverCache::Impl {
   mutable std::mutex mu;
-  bool enabled = true;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   CacheMap<DEk1Solver> dek1;
@@ -64,13 +54,11 @@ struct SolverCache::Impl {
                                             const Solve& solve) {
     {
       const std::lock_guard<std::mutex> lock(mu);
-      if (enabled) {
-        const auto it = map.find(key);
-        if (it != map.end()) {
-          ++hits;
-          obs::MetricsRegistry::global().add_counter(hit_name);
-          return it->second;
-        }
+      const auto it = map.find(key);
+      if (it != map.end()) {
+        ++hits;
+        obs::MetricsRegistry::global().add_counter(hit_name);
+        return it->second;
       }
     }
     err::Result<V> solved = solve();
@@ -83,7 +71,6 @@ struct SolverCache::Impl {
     auto value =
         std::make_shared<const V>(std::move(solved).take_or_throw());
     const std::lock_guard<std::mutex> lock(mu);
-    if (!enabled) return value;
     const auto [it, inserted] = map.emplace(key, value);
     if (inserted) note_entries_locked();
     return it->second;
@@ -97,16 +84,6 @@ SolverCache& SolverCache::global() {
   // Leaked for the same shutdown-ordering reason as MetricsRegistry.
   static SolverCache* cache = new SolverCache;
   return *cache;
-}
-
-void SolverCache::set_enabled(bool on) {
-  const std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->enabled = on;
-}
-
-bool SolverCache::enabled() const {
-  const std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->enabled;
 }
 
 void SolverCache::clear() {
@@ -130,7 +107,7 @@ std::shared_ptr<const DEk1Solver> SolverCache::dek1(int k,
 
 err::Result<std::shared_ptr<const DEk1Solver>> SolverCache::dek1_result(
     int k, double mean_service_s, double period_s) {
-  const Key key{k, quantize(mean_service_s), quantize(period_s)};
+  const Key key{k, bits(mean_service_s), bits(period_s)};
   return impl_->get(
       impl_->dek1, key, "queueing.cache.dek1.hits",
       "queueing.cache.dek1.misses", [&] {
@@ -138,55 +115,13 @@ err::Result<std::shared_ptr<const DEk1Solver>> SolverCache::dek1_result(
       });
 }
 
-std::shared_ptr<const DEk1Solver> SolverCache::dek1_chained(
-    int k, double mean_service_s, double period_s,
-    const DEk1Solver* neighbor) {
-  return dek1_chained_result(k, mean_service_s, period_s, neighbor)
-      .take_or_throw();
-}
-
-err::Result<std::shared_ptr<const DEk1Solver>>
-SolverCache::dek1_chained_result(int k, double mean_service_s,
-                                 double period_s,
-                                 const DEk1Solver* neighbor) {
-  const Key key{k, quantize(mean_service_s), quantize(period_s)};
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mu);
-    if (impl_->enabled) {
-      const auto it = impl_->dek1.find(key);
-      if (it != impl_->dek1.end()) {
-        ++impl_->hits;
-        FPSQ_OBS_COUNT("queueing.cache.dek1.hits");
-        return it->second;
-      }
-    }
-  }
-  const std::vector<Complex>* seeds =
-      neighbor != nullptr && neighbor->k() == k ? &neighbor->zetas()
-                                                : nullptr;
-  if (seeds != nullptr) FPSQ_OBS_COUNT("queueing.cache.warm_starts");
-  auto solved = DEk1Solver::create(k, mean_service_s, period_s, seeds);
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mu);
-    ++impl_->misses;
-    FPSQ_OBS_COUNT("queueing.cache.dek1.misses");
-  }
-  if (!solved.ok()) return solved.error();
-  // Chained solve: never stored (see header).
-  return std::make_shared<const DEk1Solver>(
-      std::move(solved).take_or_throw());
-}
-
 namespace {
 
 Key giek1_key(int k, double mean_service_s,
               const ArrivalTransform& arrivals) {
-  Key key{k, SolverCache::quantize(mean_service_s),
-          SolverCache::quantize(arrivals.mean)};
+  Key key{k, bits(mean_service_s), bits(arrivals.mean)};
   for (char c : arrivals.name) key.push_back(c);
-  for (double p : arrivals.key_params) {
-    key.push_back(SolverCache::quantize(p));
-  }
+  for (double p : arrivals.key_params) key.push_back(bits(p));
   return key;
 }
 
@@ -214,44 +149,6 @@ err::Result<std::shared_ptr<const GiEk1Solver>> SolverCache::giek1_result(
       });
 }
 
-std::shared_ptr<const GiEk1Solver> SolverCache::giek1_chained(
-    int k, double mean_service_s, const ArrivalTransform& arrivals,
-    const GiEk1Solver* neighbor) {
-  return giek1_chained_result(k, mean_service_s, arrivals, neighbor)
-      .take_or_throw();
-}
-
-err::Result<std::shared_ptr<const GiEk1Solver>>
-SolverCache::giek1_chained_result(int k, double mean_service_s,
-                                  const ArrivalTransform& arrivals,
-                                  const GiEk1Solver* neighbor) {
-  if (!arrivals.key_params.empty()) {
-    const Key key = giek1_key(k, mean_service_s, arrivals);
-    const std::lock_guard<std::mutex> lock(impl_->mu);
-    if (impl_->enabled) {
-      const auto it = impl_->giek1.find(key);
-      if (it != impl_->giek1.end()) {
-        ++impl_->hits;
-        FPSQ_OBS_COUNT("queueing.cache.giek1.hits");
-        return it->second;
-      }
-    }
-  }
-  const std::vector<Complex>* seeds =
-      neighbor != nullptr && neighbor->k() == k ? &neighbor->zetas()
-                                                : nullptr;
-  if (seeds != nullptr) FPSQ_OBS_COUNT("queueing.cache.warm_starts");
-  auto solved = GiEk1Solver::create(k, mean_service_s, arrivals, seeds);
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mu);
-    ++impl_->misses;
-    FPSQ_OBS_COUNT("queueing.cache.giek1.misses");
-  }
-  if (!solved.ok()) return solved.error();
-  return std::make_shared<const GiEk1Solver>(
-      std::move(solved).take_or_throw());
-}
-
 std::shared_ptr<const MD1Solution> SolverCache::md1(double lambda,
                                                     double service_s) {
   return md1_result(lambda, service_s).take_or_throw();
@@ -259,7 +156,7 @@ std::shared_ptr<const MD1Solution> SolverCache::md1(double lambda,
 
 err::Result<std::shared_ptr<const MD1Solution>> SolverCache::md1_result(
     double lambda, double service_s) {
-  const Key key{quantize(lambda), quantize(service_s)};
+  const Key key{bits(lambda), bits(service_s)};
   return impl_->get(
       impl_->md1, key, "queueing.cache.md1.hits",
       "queueing.cache.md1.misses",

@@ -3,26 +3,17 @@
 // searches) never re-run a K-root zeta fixed-point search or an M/D/1
 // dominant-pole solve for parameters they have already seen.
 //
-// Keys are the solver parameters quantized to 44 mantissa bits
-// (relative quantum ~6e-14): two parameter sets that agree to that
-// precision share one solution. The stored value for a key is always the
-// *canonical* solve — the plain solver constructor, a deterministic
-// function of the parameters alone — so cache races under the thread
-// pool are benign: every thread that misses computes bit-identical
-// entries, and hit-vs-miss timing cannot change any result. That is what
-// keeps parallel sweeps bit-identical to serial ones.
+// Keys are the exact bit patterns of the solver parameters, and the
+// stored value for a key is the canonical solve — the plain solver
+// factory, a deterministic function of the parameters alone. A hit
+// therefore returns exactly the bits a cold solve would, so cache
+// history (and races under the thread pool, where every thread that
+// misses computes bit-identical entries) can never change a result.
+// That is what keeps parallel sweeps bit-identical to serial ones and
+// served answers bit-identical to one-shot runs.
 //
-// Warm starting: dek1_chained() additionally seeds the fixed-point
-// iteration with an adjacent point's zeta roots (instead of restarting
-// from 0). Chained solves converge to the same roots (each root equation
-// has a unique solution in Re z < 1) but may differ from the canonical
-// solve in final ulps, so they are returned to the caller *without*
-// being stored. Use them only where the seed is itself a deterministic
-// function of the request — e.g. chaining along a chunk of adjacent
-// sweep points (core::sweep_rtt_quantiles).
-//
-// Observability: queueing.cache.{dek1,giek1,md1}.{hits,misses} counters,
-// queueing.cache.entries gauge and queueing.cache.warm_starts counter.
+// Observability: queueing.cache.{dek1,giek1,md1}.{hits,misses} counters
+// and the queueing.cache.entries gauge.
 #pragma once
 
 #include <cstdint>
@@ -46,18 +37,13 @@ struct MD1Solution {
 class SolverCache {
  public:
   /// The process-global cache used by core::RttModel and the sweep
-  /// drivers. Enabled by default.
+  /// drivers.
   [[nodiscard]] static SolverCache& global();
 
   SolverCache();
   ~SolverCache();
   SolverCache(const SolverCache&) = delete;
   SolverCache& operator=(const SolverCache&) = delete;
-
-  /// When disabled, every call solves fresh and stores nothing (the
-  /// returned pointers remain valid; lookups simply never hit).
-  void set_enabled(bool on);
-  [[nodiscard]] bool enabled() const;
 
   /// Drops every entry (hit/miss counters in obs keep accumulating).
   void clear();
@@ -76,21 +62,9 @@ class SolverCache {
 
   /// Checked variant: returns the solver's structured error instead of
   /// throwing. Failed solves are never cached (a later call with relaxed
-  /// fault injection or different seeds may succeed).
+  /// fault injection may succeed).
   [[nodiscard]] err::Result<std::shared_ptr<const DEk1Solver>> dek1_result(
       int k, double mean_service_s, double period_s);
-
-  /// Like dek1(), but a miss seeds the zeta search from `neighbor`'s
-  /// roots (when non-null and of matching order). The chained result is
-  /// NOT stored — see the header comment on determinism.
-  [[nodiscard]] std::shared_ptr<const DEk1Solver> dek1_chained(
-      int k, double mean_service_s, double period_s,
-      const DEk1Solver* neighbor);
-
-  /// Checked variant of dek1_chained().
-  [[nodiscard]] err::Result<std::shared_ptr<const DEk1Solver>>
-  dek1_chained_result(int k, double mean_service_s, double period_s,
-                      const DEk1Solver* neighbor);
 
   /// GI/E_K/1 solution; memoized only when `arrivals.key_params` is
   /// non-empty (the factories fill it; custom transforms solve fresh).
@@ -103,17 +77,6 @@ class SolverCache {
   giek1_result(int k, double mean_service_s,
                const ArrivalTransform& arrivals);
 
-  /// Chained variant of giek1(), same contract as dek1_chained().
-  [[nodiscard]] std::shared_ptr<const GiEk1Solver> giek1_chained(
-      int k, double mean_service_s, const ArrivalTransform& arrivals,
-      const GiEk1Solver* neighbor);
-
-  /// Checked variant of giek1_chained().
-  [[nodiscard]] err::Result<std::shared_ptr<const GiEk1Solver>>
-  giek1_chained_result(int k, double mean_service_s,
-                       const ArrivalTransform& arrivals,
-                       const GiEk1Solver* neighbor);
-
   /// M/D/1 solution for (lambda, d) with both single-pole MGFs built.
   /// Throwing wrapper over md1_result().
   [[nodiscard]] std::shared_ptr<const MD1Solution> md1(double lambda,
@@ -124,10 +87,6 @@ class SolverCache {
   /// single-pole MGFs maps to kNonConvergence. Failures are never cached.
   [[nodiscard]] err::Result<std::shared_ptr<const MD1Solution>> md1_result(
       double lambda, double service_s);
-
-  /// The key quantizer (exposed for tests): keeps the sign, exponent and
-  /// top 44 mantissa bits of the value.
-  [[nodiscard]] static std::int64_t quantize(double v) noexcept;
 
  private:
   struct Impl;

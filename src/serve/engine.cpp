@@ -102,36 +102,22 @@ std::string dimension_fragment(const Request& req, int precision) {
 }
 
 std::string sweep_fragment(const Request& req, int precision) {
-  // Mirrors cmd_sweep in tools/fpsq.cpp: same load grid, same spec
-  // defaults (cache, warm chaining, tail kernel, Kingman fallback), so
-  // the served points match the CLI's CSV bit for bit.
-  core::RttSweepSpec spec;
-  spec.scenario = req.scenario;
-  spec.epsilon = req.epsilon;
-  std::vector<double> loads;
-  for (double rho = req.step; rho < 0.95; rho += req.step) {
-    const double n = req.scenario.clients_for_downlink_load(rho);
-    if (req.scenario.uplink_load(n) >= 0.999) break;
-    loads.push_back(rho);
-    spec.n_values.push_back(n);
-  }
-  const auto points = core::sweep_rtt_quantiles(spec);
+  const auto sweep =
+      core::sweep_load_grid(req.scenario, req.epsilon, req.step);
   std::string out = "\"ok\":true,\"op\":\"sweep\",\"result\":{\"points\":[";
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
+    const core::RttSweepPoint& p = sweep.points[i];
     if (i > 0) out += ",";
     out += "{";
-    append_field(out, "load", loads[i], precision);
+    append_field(out, "load", sweep.loads[i], precision);
     out += ",";
-    append_field(out, "gamers", points[i].n_clients, precision);
+    append_field(out, "gamers", p.n_clients, precision);
     out += ",";
-    append_field(out, "rtt_quantile_ms", points[i].rtt_quantile_ms,
-                 precision);
+    append_field(out, "rtt_quantile_ms", p.rtt_quantile_ms, precision);
     out += ",";
-    append_field(out, "rtt_mean_ms", points[i].rtt_mean_ms, precision);
+    append_field(out, "rtt_mean_ms", p.rtt_mean_ms, precision);
     out += ",\"status\":\"";
-    out += points[i].failed           ? "failed"
-           : points[i].fallback_bound ? "bound"
-                                      : "exact";
+    out += p.failed ? "failed" : p.fallback_bound ? "bound" : "exact";
     out += "\"}";
   }
   out += "]}";

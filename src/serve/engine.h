@@ -7,10 +7,10 @@
 // result fragment is re-wrapped with every duplicate's own id. Because
 // the evaluation runs through the same library entry points as the
 // one-shot CLI commands — RttModel::create / dimension_for_rtt_checked /
-// sweep_rtt_quantiles, all routed through the shared SolverCache and a
+// sweep_load_grid, all routed through the exact-keyed SolverCache and a
 // per-model precompiled TailKernel — a deduplicated (or cache-warmed)
-// response is bit-identical to a cold one-shot run (the SolverCache
-// canonical-only storage guarantee; see queueing/solver_cache.h).
+// response is bit-identical to a cold one-shot run by construction: a
+// cache hit returns the canonical solve (see queueing/solver_cache.h).
 //
 // Deadlines: a request whose deadline expired before its batch started
 // is answered with a `deadline_exceeded` error instead of being

@@ -1,5 +1,5 @@
 // core sweep drivers — parallel evaluation must be bit-identical to
-// serial, duplicates must collapse, and the grid drivers must agree with
+// serial, duplicates must agree, and the grid drivers must agree with
 // their one-at-a-time equivalents.
 #include "core/sweep.h"
 
@@ -81,23 +81,6 @@ TEST(SweepRtt, DuplicatePointsCollapseToOneResult) {
   EXPECT_EQ(out[0].rtt_quantile_ms, out[1].rtt_quantile_ms);
   EXPECT_EQ(out[0].rtt_quantile_ms, out[3].rtt_quantile_ms);
   EXPECT_NE(out[0].rtt_quantile_ms, out[2].rtt_quantile_ms);
-}
-
-TEST(SweepRtt, MatchesDirectModelWithoutChaining) {
-  // With chaining and caching off, the sweep is just N direct model
-  // constructions — the baseline semantics.
-  core::RttSweepSpec spec;
-  spec.scenario = paper_scenario();
-  spec.n_values = {40.0, 80.0, 120.0};
-  spec.use_cache = false;
-  spec.warm_chaining = false;
-  const auto out = core::sweep_rtt_quantiles(spec);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const core::RttModelOptions opts{core::UpstreamVariant::kPaperEq14,
-                                     false, nullptr};
-    const core::RttModel direct{spec.scenario, spec.n_values[i], opts};
-    EXPECT_EQ(out[i].rtt_quantile_ms, direct.rtt_quantile_ms(spec.epsilon));
-  }
 }
 
 TEST(SweepRtt, JitteredScenarioSweeps) {
@@ -198,61 +181,52 @@ TEST(MixedPopulation, ParallelPopulationsMatchDirectModels) {
   EXPECT_LT(points[0].rho, points[3].rho);
 }
 
-// Warm-chain restart after a mid-chain solver failure: when a point
-// inside a warm-chained chunk degrades to the Kingman bound, the next
-// point must restart from the canonical cold state (prev.reset()), so
-// the chained run stays bit-identical to the unchained one on every
-// surviving point. Exercises the seed reference path
-// (use_tail_kernel = false), where zeta warm starts actually feed the
-// root finder.
-TEST(RttSweep, WarmChainRestartsBitIdenticalAfterMidChainFailure) {
+// A mid-sweep solver failure degrades exactly the faulted point: every
+// other point stays bit-identical to an unfaulted run.
+TEST(RttSweep, MidSweepFailureLeavesOtherPointsBitIdentical) {
   namespace err = fpsq::err;
+  auto& cache = fpsq::queueing::SolverCache::global();
   const auto scenario = paper_scenario();
   core::RttSweepSpec spec;
   spec.scenario = scenario;
   spec.n_values = load_grid(scenario);  // 17 points, rho 0.05 .. 0.85
-  spec.use_cache = false;               // isolate chaining from caching
-  spec.use_tail_kernel = false;
   spec.on_failure = err::FailurePolicy::kFallbackBound;
-  par::set_global_thread_count(1);  // one chunk run = one warm chain
+  par::set_global_thread_count(1);
 
-  // Fail exactly rho = 0.25: index 4, strictly inside the first
-  // kWarmChunk run, with warm-chained successors after it.
   err::clear_faults();
+  cache.clear();
+  const auto clean = core::sweep_rtt_quantiles(spec);
+
+  // Fail exactly rho = 0.25 (index 4). Faults fire on a solve, never on
+  // a cache hit, so the faulted run starts from a cleared cache.
+  cache.clear();
   err::inject_fault("queueing.dek1",
                     err::SolverErrorCode::kNonConvergence, 0.24, 0.26);
-
-  core::RttSweepSpec chained = spec;
-  chained.warm_chaining = true;
-  const auto warm = core::sweep_rtt_quantiles(chained);
-
-  core::RttSweepSpec unchained = spec;
-  unchained.warm_chaining = false;
-  const auto cold = core::sweep_rtt_quantiles(unchained);
+  const auto faulted = core::sweep_rtt_quantiles(spec);
   err::clear_faults();
 
-  ASSERT_EQ(warm.size(), spec.n_values.size());
-  ASSERT_EQ(cold.size(), spec.n_values.size());
+  ASSERT_EQ(clean.size(), spec.n_values.size());
+  ASSERT_EQ(faulted.size(), spec.n_values.size());
 
-  // The faulted point degraded to the bound, in both runs.
-  EXPECT_TRUE(warm[4].fallback_bound);
-  EXPECT_TRUE(cold[4].fallback_bound);
-  EXPECT_EQ(warm[4].error, err::SolverErrorCode::kNonConvergence);
+  // The faulted point degraded to the bound.
+  EXPECT_TRUE(faulted[4].fallback_bound);
+  EXPECT_EQ(faulted[4].error, err::SolverErrorCode::kNonConvergence);
+  EXPECT_FALSE(clean[4].fallback_bound);
 
   std::size_t degraded = 0;
-  for (std::size_t i = 0; i < warm.size(); ++i) {
-    // Bitwise: a stale zeta surviving the failed point would show up
-    // as a few-ulp drift on points 5..7 long before it is "wrong".
-    EXPECT_EQ(warm[i].rtt_quantile_ms, cold[i].rtt_quantile_ms)
+  for (std::size_t i = 0; i < faulted.size(); ++i) {
+    if (faulted[i].fallback_bound) ++degraded;
+    if (i == 4) continue;
+    EXPECT_EQ(faulted[i].rtt_quantile_ms, clean[i].rtt_quantile_ms)
         << "point " << i;
-    EXPECT_EQ(warm[i].rtt_mean_ms, cold[i].rtt_mean_ms) << "point " << i;
-    EXPECT_EQ(warm[i].downstream_quantile_ms,
-              cold[i].downstream_quantile_ms)
+    EXPECT_EQ(faulted[i].rtt_mean_ms, clean[i].rtt_mean_ms)
         << "point " << i;
-    EXPECT_EQ(warm[i].failed, cold[i].failed) << "point " << i;
-    EXPECT_EQ(warm[i].fallback_bound, cold[i].fallback_bound)
+    EXPECT_EQ(faulted[i].downstream_quantile_ms,
+              clean[i].downstream_quantile_ms)
         << "point " << i;
-    if (warm[i].fallback_bound) ++degraded;
+    EXPECT_EQ(faulted[i].failed, clean[i].failed) << "point " << i;
+    EXPECT_EQ(faulted[i].fallback_bound, clean[i].fallback_bound)
+        << "point " << i;
   }
   EXPECT_EQ(degraded, 1u);  // only the injected point degraded
 }

@@ -44,10 +44,6 @@ core::RttSweepSpec base_spec() {
     spec.n_values.push_back(
         spec.scenario.clients_for_downlink_load(0.1 * i));
   }
-  // Canonical per-point solves: no warm chaining and no shared cache, so
-  // "unaffected" can be checked bit-for-bit against a clean run.
-  spec.warm_chaining = false;
-  spec.use_cache = false;
   return spec;
 }
 
@@ -90,6 +86,8 @@ TEST_F(ErrDegradationTest, SweepDegradesForEveryInjectedFailureClass) {
                           err::SolverErrorCode::kUnstable}) {
     SCOPED_TRACE(err::code_name(code));
     err::clear_faults();
+    // Faults fire on a solve, never on a cache hit.
+    queueing::SolverCache::global().clear();
     err::inject_fault("queueing.dek1", code, 0.38, 0.62);
     const auto points = core::sweep_rtt_quantiles(spec);  // must not throw
     ASSERT_EQ(points.size(), clean.size());
@@ -141,7 +139,7 @@ TEST_F(ErrDegradationTest, SweepThrowPolicyKeepsLegacyAbort) {
 TEST_F(ErrDegradationTest, SweepBitIdenticalAcrossThreadCountsUnderFaults) {
   // Injection is a pure function of (site, parameters), so the failed
   // set — and every other cell — cannot depend on the thread count.
-  // Warm chaining and the cache stay on: the production configuration.
+  // The cache stays on: the production configuration.
   core::RttSweepSpec spec;
   for (int i = 1; i <= 9; ++i) {
     spec.n_values.push_back(

@@ -44,7 +44,6 @@ TEST(ObsManifest, ToJsonParsesAndEscapes) {
   m.hostname = "host\nname";
   m.timestamp_utc = "2026-08-08T00:00:00Z";
   m.threads = 8;
-  m.cache_enabled = false;
   m.has_seed = true;
   m.seed = 12345;
   const auto v = fpsq::obs::json::parse(m.to_json());
@@ -53,8 +52,6 @@ TEST(ObsManifest, ToJsonParsesAndEscapes) {
   EXPECT_EQ(v.string_or("build_type", ""), "Rel\"ease\\");
   EXPECT_EQ(v.string_or("hostname", ""), "host\nname");
   EXPECT_DOUBLE_EQ(v.number_or("threads", 0.0), 8.0);
-  ASSERT_NE(v.find("cache_enabled"), nullptr);
-  EXPECT_FALSE(v.find("cache_enabled")->boolean);
   EXPECT_DOUBLE_EQ(v.number_or("seed", 0.0), 12345.0);
 }
 
@@ -69,9 +66,7 @@ TEST(ObsManifest, SeedSerializesAsNullUntilSet) {
 TEST(ObsManifest, RoundTripsThroughMetricsSnapshot) {
   auto& m = RunManifest::current();
   const unsigned threads_before = m.threads;
-  const bool cache_before = m.cache_enabled;
   m.threads = 7;
-  m.cache_enabled = false;
   m.has_seed = true;
   m.seed = 424242;
 
@@ -86,12 +81,9 @@ TEST(ObsManifest, RoundTripsThroughMetricsSnapshot) {
   EXPECT_EQ(manifest->string_or("git_sha", ""), m.git_sha);
   EXPECT_EQ(manifest->string_or("timestamp_utc", ""), m.timestamp_utc);
   EXPECT_DOUBLE_EQ(manifest->number_or("threads", 0.0), 7.0);
-  ASSERT_NE(manifest->find("cache_enabled"), nullptr);
-  EXPECT_FALSE(manifest->find("cache_enabled")->boolean);
   EXPECT_DOUBLE_EQ(manifest->number_or("seed", 0.0), 424242.0);
 
   m.threads = threads_before;
-  m.cache_enabled = cache_before;
   m.has_seed = false;
   m.seed = 0;
 }

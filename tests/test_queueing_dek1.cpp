@@ -187,23 +187,5 @@ TEST(DEk1, DegenerateRegimeIsAFullPointMass) {
   EXPECT_EQ(direct.system_time_quantile(1e-3), st);
 }
 
-TEST(DEk1, DegenerateSeedsStillReachModerateLoadRoots) {
-  // Warm-starting from a degenerate (near-zero) zeta set must converge
-  // to the same roots as a cold solve: each root equation has a unique
-  // solution in Re z < 1, so the seed changes iteration count only.
-  const DEk1Solver cold{6, 0.5, 1.0};
-  const DEk1Solver low{6, 0.02, 1.0};
-  ASSERT_TRUE(low.degenerate());
-  auto seeded = DEk1Solver::create(6, 0.5, 1.0, &low.zetas());
-  ASSERT_TRUE(seeded.ok());
-  for (std::size_t j = 0; j < cold.zetas().size(); ++j) {
-    EXPECT_NEAR(std::abs(seeded.value().zetas()[j] - cold.zetas()[j]),
-                0.0, 1e-9)
-        << "root " << j;
-  }
-  EXPECT_NEAR(seeded.value().wait_quantile(1e-4),
-              cold.wait_quantile(1e-4), 1e-9);
-}
-
 }  // namespace
 }  // namespace fpsq::queueing

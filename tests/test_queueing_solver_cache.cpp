@@ -1,20 +1,17 @@
 // queueing::SolverCache — hits must be bit-identical to cold solves
-// (including the degenerate collapsed-pole regime), chained solves must
-// converge to the same roots without being stored, and the key
-// quantization must separate meaningfully different parameters.
+// (including the degenerate collapsed-pole regime), and keys are exact:
+// parameters one ulp apart never share an entry.
 #include "queueing/solver_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <vector>
 
 #include "queueing/dek1.h"
 #include "queueing/giek1.h"
 #include "queueing/mg1.h"
 
 namespace queueing = fpsq::queueing;
-using queueing::Complex;
 using queueing::SolverCache;
 
 namespace {
@@ -34,16 +31,21 @@ void expect_bitwise_equal(const queueing::DEk1Solver& a,
 
 }  // namespace
 
-TEST(SolverCacheQuantize, SeparatesAndCollides) {
-  EXPECT_EQ(SolverCache::quantize(0.0), 0);
-  EXPECT_EQ(SolverCache::quantize(1.0), SolverCache::quantize(1.0));
-  // Within the 2^-44 relative quantum: same key.
-  EXPECT_EQ(SolverCache::quantize(1.0),
-            SolverCache::quantize(1.0 + 1e-15));
-  // Meaningful differences separate.
-  EXPECT_NE(SolverCache::quantize(1.0), SolverCache::quantize(1.0 + 1e-9));
-  EXPECT_NE(SolverCache::quantize(1.0), SolverCache::quantize(-1.0));
-  EXPECT_NE(SolverCache::quantize(1.0), SolverCache::quantize(2.0));
+TEST(SolverCache, OneUlpApartParametersAreSeparateEntries) {
+  SolverCache cache;
+  const double t = 1.0;
+  const double t_next = std::nextafter(1.0, 2.0);
+  const auto a = cache.dek1(9, 0.5, t);
+  const auto b = cache.dek1(9, 0.5, t_next);
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(a->period_s(), t);
+  EXPECT_EQ(b->period_s(), t_next);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, 0u);
+  // Each entry is the canonical solve of its own parameters.
+  expect_bitwise_equal(queueing::DEk1Solver{9, 0.5, t_next}, *b);
 }
 
 TEST(SolverCache, Dek1HitIsBitIdenticalToColdSolve) {
@@ -74,29 +76,6 @@ TEST(SolverCache, Dek1DegenerateRegimeCachesIdentically) {
   EXPECT_EQ(cached.get(), hit.get());
   expect_bitwise_equal(cold, *hit);
   EXPECT_EQ(cold.wait_quantile(1e-5), hit->wait_quantile(1e-5));
-}
-
-TEST(SolverCache, ChainedSolveMatchesRootsButIsNotStored) {
-  SolverCache cache;
-  const int k = 9;
-  const double t = 0.040;
-  const auto anchor = cache.dek1(k, 0.018, t);
-  ASSERT_EQ(cache.stats().entries, 1u);
-  // Adjacent point, warm-started from the anchor's roots.
-  const auto chained = cache.dek1_chained(k, 0.0185, t, anchor.get());
-  EXPECT_EQ(cache.stats().entries, 1u) << "chained solve must not store";
-  // Roots agree with a cold solve to fixed-point tolerance.
-  const queueing::DEk1Solver cold{k, 0.0185, t};
-  for (std::size_t j = 0; j < cold.zetas().size(); ++j) {
-    EXPECT_NEAR(std::abs(chained->zetas()[j] - cold.zetas()[j]), 0.0,
-                1e-12)
-        << "zeta " << j;
-  }
-  EXPECT_NEAR(chained->wait_quantile(1e-5), cold.wait_quantile(1e-5),
-              1e-12);
-  // A chained request whose key IS cached returns the canonical entry.
-  const auto canon = cache.dek1_chained(k, 0.018, t, chained.get());
-  EXPECT_EQ(canon.get(), anchor.get());
 }
 
 TEST(SolverCache, Giek1FactoriesMemoizeCustomTransformsDoNot) {
@@ -132,20 +111,6 @@ TEST(SolverCache, Md1SolutionMatchesFreshQueue) {
   EXPECT_EQ(cache.md1(lambda, service).get(), sol.get());
 }
 
-TEST(SolverCache, DisabledCacheSolvesFreshAndStoresNothing) {
-  SolverCache cache;
-  cache.set_enabled(false);
-  const auto a = cache.dek1(9, 0.018, 0.040);
-  const auto b = cache.dek1(9, 0.018, 0.040);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  expect_bitwise_equal(*a, *b);  // still canonical, still deterministic
-  cache.set_enabled(true);
-  const auto c = cache.dek1(9, 0.018, 0.040);
-  expect_bitwise_equal(*a, *c);
-}
-
 TEST(SolverCache, ClearDropsEntries) {
   SolverCache cache;
   (void)cache.dek1(9, 0.018, 0.040);
@@ -155,21 +120,4 @@ TEST(SolverCache, ClearDropsEntries) {
   EXPECT_EQ(cache.stats().entries, 0u);
   (void)cache.dek1(9, 0.018, 0.040);
   EXPECT_EQ(cache.stats().misses, 3u);
-}
-
-TEST(SolverCache, WarmStartedConstructorReachesSameRoots) {
-  // Direct solver-level check: seeding from adjacent roots changes the
-  // iteration count, never the destination.
-  const int k = 14;
-  const queueing::DEk1Solver a{k, 0.020, 0.040};
-  const queueing::DEk1Solver b_cold{k, 0.021, 0.040};
-  const queueing::DEk1Solver b_warm{k, 0.021, 0.040, &a.zetas()};
-  for (int j = 0; j < k; ++j) {
-    EXPECT_NEAR(std::abs(b_warm.zetas()[static_cast<std::size_t>(j)] -
-                         b_cold.zetas()[static_cast<std::size_t>(j)]),
-                0.0, 1e-12)
-        << "zeta " << j;
-  }
-  EXPECT_NEAR(b_warm.wait_quantile(1e-5), b_cold.wait_quantile(1e-5),
-              1e-12);
 }

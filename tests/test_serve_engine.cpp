@@ -165,7 +165,6 @@ TEST(ServeEngine, DedupCopiesCarryTheirOwnIds) {
 // of the same request byte for byte, at any thread count.
 TEST(ServeEngine, BatchedResponsesBitIdenticalToColdOneShot) {
   auto& cache = queueing::SolverCache::global();
-  cache.set_enabled(true);
   Engine engine;
 
   const std::vector<std::string> lines = {
@@ -200,6 +199,30 @@ TEST(ServeEngine, BatchedResponsesBitIdenticalToColdOneShot) {
     EXPECT_EQ(responses[i], oneshot[i]) << "request " << i;
   }
   par::set_global_thread_count(1);
+}
+
+// Cache history never changes an answer: a sweep served after an rtt
+// request warmed the cache equals, byte for byte at full precision, the
+// same sweep evaluated from a cleared cache. The sweep's load-0.8 point
+// (gamers 299.99999999999994) sits one ulp below the rtt
+// request's 300 gamers, so the two must not share a solve.
+TEST(ServeEngine, WarmCacheSweepBitIdenticalToColdOneShot) {
+  auto& cache = queueing::SolverCache::global();
+  par::set_global_thread_count(1);
+  Engine engine;
+  const auto rtt = parse_request(
+      R"({"op":"rtt","scenario":{"k":9,"tick":60,"ps":100},"gamers":300})");
+  const auto sweep = parse_request(
+      R"({"op":"sweep","scenario":{"k":9,"tick":60,"ps":100},"step":0.1})");
+  ASSERT_TRUE(rtt.ok) << rtt.error;
+  ASSERT_TRUE(sweep.ok) << sweep.error;
+
+  cache.clear();
+  (void)engine.execute_one(rtt.request);
+  const std::string warm = engine.execute_one(sweep.request);
+  cache.clear();
+  const std::string cold = engine.execute_one(sweep.request);
+  EXPECT_EQ(warm, cold);
 }
 
 TEST(ServeEngine, PrecisionControlsDigits) {

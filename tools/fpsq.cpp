@@ -44,7 +44,6 @@
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
-#include "queueing/solver_cache.h"
 #include "sim/replication.h"
 #include "sim/trace_replay.h"
 #include "trace/analyzer.h"
@@ -101,9 +100,9 @@ long long parse_integer(const std::string& cmd, const std::string& flag,
 }
 
 /// Execution + observability flags every command accepts.
-const char* const kCommonFlags[] = {"threads",      "cache",
-                                    "metrics-out",  "trace-out",
-                                    "timeline-out", "timeline-interval-ms"};
+const char* const kCommonFlags[] = {"threads",      "metrics-out",
+                                    "trace-out",    "timeline-out",
+                                    "timeline-interval-ms"};
 
 /// Tiny --flag value parser: flags are "--name value" pairs. Numeric
 /// access is strict (std::from_chars over the whole token): malformed
@@ -204,10 +203,9 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
-/// Applies the global execution flags shared by every command:
+/// Applies the global execution flag shared by every command:
 ///   --threads N   worker count; 0 = hardware concurrency, matching
 ///                 FPSQ_THREADS=0 (default: FPSQ_THREADS env, else cores)
-///   --cache 0|1   solver memoization (default on)
 void apply_execution_flags(const Args& args) {
   if (args.has("threads")) {
     const long long t = args.integer("threads", 0);
@@ -217,14 +215,10 @@ void apply_execution_flags(const Args& args) {
     args.require(t >= 0, "threads", ">= 0 (0 = hardware concurrency)");
     par::set_global_thread_count(static_cast<unsigned>(t));
   }
-  const long long cache = args.integer("cache", 1);
-  args.require(cache == 0 || cache == 1, "cache", "0 or 1");
-  queueing::SolverCache::global().set_enabled(cache == 1);
   // Record the run configuration in the manifest every exported
   // artifact (metrics snapshot, timeline, report) embeds.
   auto& manifest = obs::RunManifest::current();
   manifest.threads = par::global_thread_count();
-  manifest.cache_enabled = cache == 1;
   if (args.has("seed")) {
     const long long seed = args.integer("seed", 0);
     if (seed >= 0) {
@@ -301,15 +295,18 @@ int cmd_rtt(const Args& args) {
 int cmd_dimension(const Args& args) {
   const auto s = scenario_from(args);
   const double eps = epsilon_from(args);
+  const double bound = args.number("bound", 50.0);
+  args.require(bound > 0.0, "bound", "> 0 [ms]");
   if (args.has("ks") || args.has("bounds")) {
     // Table-4 grid mode: every (K, bound) cell, in parallel. A cell
     // whose solver fails is flagged in the output instead of aborting
-    // the other cells (see docs/ROBUSTNESS.md).
+    // the other cells (see docs/ROBUSTNESS.md). The lists take the same
+    // ranges as --k and --bound.
     core::DimensioningTableSpec spec;
     spec.scenario = s;
     for (const double k : args.numbers("ks")) {
-      args.require(k >= 1.0 && k == std::floor(k), "ks",
-                   "a list of integers >= 1");
+      args.require(k >= 1.0 && k <= 512.0 && k == std::floor(k), "ks",
+                   "a list of integers in [1, 512]");
       spec.ks.push_back(static_cast<int>(k));
     }
     if (spec.ks.empty()) spec.ks.push_back(s.erlang_k);
@@ -317,9 +314,7 @@ int cmd_dimension(const Args& args) {
     for (const double b : spec.rtt_bounds_ms) {
       args.require(b > 0.0, "bounds", "a list of bounds > 0 [ms]");
     }
-    if (spec.rtt_bounds_ms.empty()) {
-      spec.rtt_bounds_ms.push_back(args.number("bound", 50.0));
-    }
+    if (spec.rtt_bounds_ms.empty()) spec.rtt_bounds_ms.push_back(bound);
     spec.epsilon = eps;
     print_scenario(s);
     std::printf("k,bound_ms,max_load,max_gamers,rtt_at_max_ms,status\n");
@@ -335,8 +330,6 @@ int cmd_dimension(const Args& args) {
     }
     return 0;
   }
-  const double bound = args.number("bound", 50.0);
-  args.require(bound > 0.0, "bound", "> 0 [ms]");
   const auto d = core::dimension_for_rtt(s, bound, eps);
   print_scenario(s);
   std::printf("RTT(%g) <= %.0f ms:  max load %.1f%%  max gamers %d  "
@@ -347,30 +340,21 @@ int cmd_dimension(const Args& args) {
 
 int cmd_sweep(const Args& args) {
   const auto s = scenario_from(args);
-  core::RttSweepSpec spec;
-  spec.scenario = s;
-  spec.epsilon = epsilon_from(args);
+  const double eps = epsilon_from(args);
   const double step = args.number("step", 0.05);
   args.require(step > 0.0 && step < 0.95, "step", "in (0, 0.95)");
-  std::vector<double> loads;
-  for (double rho = step; rho < 0.95; rho += step) {
-    const double n = s.clients_for_downlink_load(rho);
-    if (s.uplink_load(n) >= 0.999) break;
-    loads.push_back(rho);
-    spec.n_values.push_back(n);
-  }
-  const auto points = core::sweep_rtt_quantiles(spec);
+  const auto sweep = core::sweep_load_grid(s, eps, step);
   print_scenario(s);
   std::printf("load,gamers,rtt_quantile_ms,rtt_mean_ms,status\n");
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
+    const core::RttSweepPoint& p = sweep.points[i];
     // "bound" marks a point served by the Kingman fallback after a
     // solver failure; "failed" means not even the bound applied.
-    const char* status = points[i].failed         ? "failed"
-                         : points[i].fallback_bound ? "bound"
-                                                    : "exact";
-    std::printf("%.3f,%.1f,%.2f,%.2f,%s\n", loads[i],
-                points[i].n_clients, points[i].rtt_quantile_ms,
-                points[i].rtt_mean_ms, status);
+    const char* status = p.failed           ? "failed"
+                         : p.fallback_bound ? "bound"
+                                            : "exact";
+    std::printf("%.3f,%.1f,%.2f,%.2f,%s\n", sweep.loads[i], p.n_clients,
+                p.rtt_quantile_ms, p.rtt_mean_ms, status);
   }
   return 0;
 }
@@ -725,9 +709,6 @@ int cmd_benchdiff(const std::string& baseline_path,
   return report.exit_code();
 }
 
-/// Per-command usage text, shared by `fpsq help <cmd>` and the parse
-/// error path (which prints it to stderr under the error message). An
-/// unknown topic gets the general synopsis.
 /// `fpsq check`: the differential self-check harness (src/check/,
 /// docs/CHECKING.md). Exit 0 on a clean run, 1 when any cross-path
 /// comparison disagrees beyond its tolerance.
@@ -762,6 +743,9 @@ int cmd_check(const Args& args) {
   return report.ok() ? 0 : 1;
 }
 
+/// Per-command usage text, shared by `fpsq help <cmd>` and the parse
+/// error path (which prints it to stderr under the error message). An
+/// unknown topic gets the general synopsis.
 const char* usage_text(const std::string& topic) {
   if (topic == "rtt") {
     return "fpsq rtt --gamers N [--eps 1e-5] [scenario flags]\n"
@@ -825,12 +809,12 @@ const char* usage_text(const std::string& topic) {
            "  line (ops rtt | dimension | sweep), one JSON response per\n"
            "  line, in admission order — see docs/SERVING.md for the\n"
            "  schema. Requests landing in the same micro-batch that share\n"
-           "  a solver configuration are deduplicated and served from the\n"
-           "  shared SolverCache / compiled tail kernels, bit-identical\n"
-           "  to one-shot runs. --queue bounds admission (overflow is\n"
-           "  answered with a structured `shed` error), --deadline-ms\n"
-           "  expires stale requests, SIGTERM/SIGINT drain gracefully\n"
-           "  (every admitted request is answered, then exit 0).\n"
+           "  a solver configuration are deduplicated; every answer is\n"
+           "  bit-identical to a one-shot run, whatever the cache holds.\n"
+           "  --queue bounds admission (overflow is answered with a\n"
+           "  structured `shed` error), --deadline-ms expires stale\n"
+           "  requests, SIGTERM/SIGINT drain gracefully (every admitted\n"
+           "  request is answered, then exit 0).\n"
            "  --listen accepts loopback TCP connections instead of stdin.\n";
   }
   if (topic == "check") {
@@ -880,8 +864,7 @@ const char* usage_text(const std::string& topic) {
          "  --threads N          worker threads for sweeps/grids/reps;\n"
          "                       0 = hardware concurrency (same rule as\n"
          "                       FPSQ_THREADS=0; default: FPSQ_THREADS\n"
-         "                       env, else cores)\n"
-         "  --cache 0|1          solver memoization (default 1)\n\n"
+         "                       env, else cores)\n\n"
          "observability flags (every command):\n"
          "  --metrics-out FILE   write solver/simulator metrics JSON\n"
          "  --trace-out FILE     record spans, write Chrome trace JSON\n"
