@@ -268,7 +268,8 @@ class PointChecker {
   }
 
   /// Serve-vs-cold byte identity on the leading corpus points: batched
-  /// engine responses (dedup + pool) must equal one-shot evaluation.
+  /// engine responses (dedup + pool) must equal one-shot evaluation,
+  /// which is what the CLI's rtt / dimension commands print.
   void check_serve() {
     if (p_.index >= opt_.serve_points || p_.scenario.erlang_k < 2) return;
     serve::Request req;
@@ -346,7 +347,7 @@ PointOutcome evaluate_sim_point(const CheckPoint& p,
   core::ValidationOptions vopt;
   vopt.quantile_prob = 1.0 - p.epsilon;
   vopt.duration_s = opt.sim_duration_s;
-  vopt.warmup_s = 2.0;
+  vopt.warmup_s = kSimWarmupS;
   std::vector<double> sim_rtt;
   sim_rtt.reserve(static_cast<std::size_t>(opt.sim_replications));
   double model_rtt = 0.0;

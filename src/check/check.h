@@ -65,6 +65,10 @@ struct Mismatch {
   [[nodiscard]] std::string to_line() const;
 };
 
+/// Warm-up cut from the start of every simulated run of the
+/// analytic-vs-simulation corpus [s]; sim_duration_s must exceed it.
+inline constexpr double kSimWarmupS = 2.0;
+
 struct CheckOptions {
   std::size_t points = 200;  ///< size of the main differential corpus
   std::uint64_t seed = 1;
@@ -75,7 +79,7 @@ struct CheckOptions {
   /// comparisons, so the budget is independent of `points`).
   std::size_t sim_points = 2;
   int sim_replications = 3;
-  double sim_duration_s = 20.0;
+  double sim_duration_s = 20.0;  ///< per replication, > kSimWarmupS
   /// Self-test hook: added to every kernel-side tail before comparing.
   /// A nonzero perturbation MUST produce mismatches — pinned by a
   /// WILL_FAIL ctest entry and tests/test_check.cpp — proving the

@@ -6,18 +6,21 @@
 
 namespace fpsq::core {
 
+namespace {
+
+/// Width of the final load bracket of the bisection.
+constexpr double kRhoTol = 1e-4;
+
+}  // namespace
+
 DimensioningResult dimension_for_rtt(const AccessScenario& scenario,
-                                     double rtt_bound_ms, double epsilon,
-                                     CombinationMethod method,
-                                     double rho_tol) {
-  return dimension_for_rtt_checked(scenario, rtt_bound_ms, epsilon, method,
-                                   rho_tol)
+                                     double rtt_bound_ms, double epsilon) {
+  return dimension_for_rtt_checked(scenario, rtt_bound_ms, epsilon)
       .take_or_throw();
 }
 
 err::Result<DimensioningResult> dimension_for_rtt_checked(
-    const AccessScenario& scenario, double rtt_bound_ms, double epsilon,
-    CombinationMethod method, double rho_tol) {
+    const AccessScenario& scenario, double rtt_bound_ms, double epsilon) {
   try {
     scenario.validate();
   } catch (const std::exception& ex) {
@@ -42,7 +45,7 @@ err::Result<DimensioningResult> dimension_for_rtt_checked(
         RttModel::create(scenario, scenario.clients_for_downlink_load(rho));
     if (!created.ok()) return created.error();
     try {
-      return created.value().rtt_quantile_ms(epsilon, method);
+      return created.value().rtt_quantile_ms(epsilon);
     } catch (const err::SolverFailure& ex) {
       // Inversion failure, already recorded at the throw site.
       return ex.error();
@@ -93,7 +96,7 @@ err::Result<DimensioningResult> dimension_for_rtt_checked(
                               scenario.deterministic_rtt_ms()};
   }
   lo = probe;
-  while (hi - lo > rho_tol) {
+  while (hi - lo > kRhoTol) {
     const double mid = 0.5 * (lo + hi);
     const auto probe_mid = rtt_at_load(mid);
     if (!probe_mid.ok()) return probe_mid.error();

@@ -17,7 +17,8 @@ struct DimensioningResult {
 
 /// Finds the largest downlink load whose epsilon-RTT-quantile stays below
 /// `rtt_bound_ms`. The RTT quantile is monotone in the load, so a
-/// bisection on rho in (0, rho_stability) suffices.
+/// bisection on rho in (0, rho_stability) suffices; it stops once the
+/// bracket is narrower than 1e-4 in load.
 ///
 /// Each probed load builds its RttModel (and its precompiled tail
 /// kernels) exactly once; all tail evaluations of that probe's quantile
@@ -29,18 +30,12 @@ struct DimensioningResult {
 /// @throws std::invalid_argument / err::SolverFailure — thin wrapper over
 ///         dimension_for_rtt_checked()
 [[nodiscard]] DimensioningResult dimension_for_rtt(
-    const AccessScenario& scenario, double rtt_bound_ms,
-    double epsilon = 1e-5,
-    CombinationMethod method = CombinationMethod::kFullInversion,
-    double rho_tol = 1e-4);
+    const AccessScenario& scenario, double rtt_bound_ms, double epsilon);
 
 /// Non-throwing variant: any solver failure at any probed load surfaces
 /// as the structured error instead of unwinding through the bisection
 /// (used by dimension_table to flag a cell without aborting the grid).
 [[nodiscard]] err::Result<DimensioningResult> dimension_for_rtt_checked(
-    const AccessScenario& scenario, double rtt_bound_ms,
-    double epsilon = 1e-5,
-    CombinationMethod method = CombinationMethod::kFullInversion,
-    double rho_tol = 1e-4);
+    const AccessScenario& scenario, double rtt_bound_ms, double epsilon);
 
 }  // namespace fpsq::core

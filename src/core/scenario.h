@@ -5,16 +5,6 @@
 
 namespace fpsq::core {
 
-/// Admissible range for the tail-quantile epsilon, shared by the CLI
-/// flag parser (`--eps` on rtt/sweep/dimension/report/profile) and the
-/// serve request validator (`"eps"` in NDJSON requests) so the two
-/// layers cannot drift apart. NaN fails the comparison and is rejected.
-[[nodiscard]] constexpr bool valid_epsilon(double eps) noexcept {
-  return eps > 0.0 && eps < 1.0;
-}
-/// The constraint text every layer prints for an out-of-range epsilon.
-inline constexpr const char* kEpsilonConstraint = "in (0, 1)";
-
 /// Parameters of the DSL gaming scenario (paper Section 4 defaults).
 struct AccessScenario {
   double client_packet_bytes = 80.0;   ///< P_C [bytes]

@@ -69,15 +69,13 @@ std::optional<RttSweepPoint> kingman_fallback_point(
   }
 }
 
-/// Builds the emitted point for a failed sweep cell under the spec's
-/// policy (kThrow was already handled by the caller).
+/// Builds the emitted point for a failed sweep cell: the Kingman bound
+/// where it applies, else a failed point with zeroed values.
 RttSweepPoint failed_sweep_point(const RttSweepSpec& spec, double n,
                                  const err::SolverError& e) {
   RttSweepPoint p;
-  if (spec.on_failure == err::FailurePolicy::kFallbackBound) {
-    if (auto fb = kingman_fallback_point(spec.scenario, n, spec.epsilon)) {
-      p = *std::move(fb);
-    }
+  if (auto fb = kingman_fallback_point(spec.scenario, n, spec.epsilon)) {
+    p = *std::move(fb);
   }
   if (p.fallback_bound) {
     FPSQ_OBS_COUNT("err.fallback_cells");
@@ -102,11 +100,8 @@ std::vector<RttSweepPoint> sweep_rtt_quantiles(const RttSweepSpec& spec) {
 
   par::global_pool().parallel_for(n_points, [&](std::size_t i) {
     const double n = spec.n_values[i];
-    const auto created = RttModel::create(spec.scenario, n, spec.upstream);
+    const auto created = RttModel::create(spec.scenario, n);
     if (!created.ok()) {
-      if (spec.on_failure == err::FailurePolicy::kThrow) {
-        err::throw_solver_error(created.error());  // pool rethrows
-      }
       out[i] = failed_sweep_point(spec, n, created.error());
       return;
     }
@@ -116,14 +111,13 @@ std::vector<RttSweepPoint> sweep_rtt_quantiles(const RttSweepSpec& spec) {
     p.rho_up = model.rho_up();
     p.rho_down = model.rho_down();
     try {
-      p.rtt_quantile_ms = model.rtt_quantile_ms(spec.epsilon, spec.method);
+      p.rtt_quantile_ms = model.rtt_quantile_ms(spec.epsilon);
       p.rtt_mean_ms = model.rtt_mean_ms();
       p.downstream_quantile_ms = model.downstream_quantile_ms(spec.epsilon);
     } catch (const err::SolverFailure& ex) {
       // Quantile inversion failed after a successful solve (already
-      // recorded at the throw site): degrade this point under the same
-      // policy as a construction failure.
-      if (spec.on_failure == err::FailurePolicy::kThrow) throw;
+      // recorded at the throw site): degrade this point like a
+      // construction failure.
       out[i] = failed_sweep_point(spec, n, ex.error());
       return;
     }
@@ -168,15 +162,11 @@ std::vector<DimensioningCell> dimension_table(
         DimensioningCell cell;
         cell.erlang_k = spec.ks[ki];
         cell.rtt_bound_ms = spec.rtt_bounds_ms[bi];
-        auto result = dimension_for_rtt_checked(
-            scenario, cell.rtt_bound_ms, spec.epsilon, spec.method,
-            spec.rho_tol);
+        auto result = dimension_for_rtt_checked(scenario, cell.rtt_bound_ms,
+                                                spec.epsilon);
         if (result.ok()) {
           cell.result = std::move(result).take_or_throw();
         } else {
-          if (spec.on_failure == err::FailurePolicy::kThrow) {
-            err::throw_solver_error(result.error());  // pool rethrows
-          }
           cell.failed = true;
           cell.error = result.error().code;
           cell.error_detail = result.error().detail;
@@ -186,52 +176,6 @@ std::vector<DimensioningCell> dimension_table(
       },
       /*chunk=*/1);
   return cells;
-}
-
-std::vector<MultiServerPoint> evaluate_multi_server(
-    const std::vector<std::vector<GameServerSpec>>& configs,
-    double bottleneck_bps, double epsilon,
-    MultiServerDownstreamModel::WaitForm wait_form) {
-  FPSQ_SPAN("core.evaluate_multi_server");
-  std::vector<MultiServerPoint> out(configs.size());
-  par::global_pool().parallel_for(
-      configs.size(),
-      [&](std::size_t i) {
-        const MultiServerDownstreamModel model{configs[i], bottleneck_bps,
-                                               wait_form};
-        MultiServerPoint p;
-        p.rho = model.rho();
-        p.mean_burst_wait_ms = model.mean_burst_wait_ms();
-        p.burst_wait_quantile_ms = model.burst_wait_quantile_ms(epsilon);
-        p.per_server_quantile_ms.reserve(model.server_count());
-        for (std::size_t s = 0; s < model.server_count(); ++s) {
-          p.per_server_quantile_ms.push_back(
-              model.packet_delay_quantile_ms(s, epsilon));
-        }
-        p.mixed_quantile_ms = model.packet_delay_quantile_ms(epsilon);
-        out[i] = std::move(p);
-      },
-      /*chunk=*/1);
-  return out;
-}
-
-std::vector<MixedPopulationPoint> mixed_population_quantiles(
-    const std::vector<std::vector<GamerClass>>& populations,
-    double bottleneck_bps, double epsilon, bool paper_eq14) {
-  FPSQ_SPAN("core.mixed_population_quantiles");
-  std::vector<MixedPopulationPoint> out(populations.size());
-  par::global_pool().parallel_for(
-      populations.size(),
-      [&](std::size_t i) {
-        const MixedUpstreamModel model{populations[i], bottleneck_bps};
-        MixedPopulationPoint p;
-        p.rho = model.rho();
-        p.mean_wait_ms = model.mean_wait_ms();
-        p.wait_quantile_ms = model.wait_quantile_ms(epsilon, paper_eq14);
-        out[i] = p;
-      },
-      /*chunk=*/1);
-  return out;
 }
 
 }  // namespace fpsq::core

@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "core/dimensioning.h"
-#include "core/mixed_population.h"
-#include "core/multi_server.h"
 #include "core/rtt_model.h"
 #include "core/scenario.h"
 #include "err/error.h"
@@ -31,8 +29,8 @@ struct RttSweepPoint {
   double rtt_mean_ms = 0.0;
   double downstream_quantile_ms = 0.0;
   bool burst_wait_dropped = false;
-  /// Solver failed and no fallback was available (or the policy was
-  /// kFlag): the delay fields above are zero.
+  /// Solver failed and the Kingman bound does not apply either (e.g.
+  /// rho >= 1): the delay fields above are zero.
   bool failed = false;
   /// Solver failed but the delay fields hold the Kingman/heavy-traffic
   /// bound from queueing/bounds instead of the exact transform solution.
@@ -45,18 +43,12 @@ struct RttSweepSpec {
   AccessScenario scenario;
   std::vector<double> n_values;  ///< client counts, any order
   double epsilon = 1e-5;
-  CombinationMethod method = CombinationMethod::kFullInversion;
-  UpstreamVariant upstream = UpstreamVariant::kPaperEq14;
-  /// What a failed point does to the sweep: kFallbackBound (default)
-  /// substitutes the Kingman bound (flagging the point, or just marking
-  /// it failed when the bound is unavailable, e.g. rho >= 1); kFlag
-  /// always marks failed with zeroed values; kThrow rethrows through the
-  /// pool — the pre-robustness abort-the-sweep behaviour.
-  err::FailurePolicy on_failure = err::FailurePolicy::kFallbackBound;
 };
 
 /// Evaluates the RTT model at every n in spec.n_values, in parallel on
-/// the global pool. Results are in spec.n_values order.
+/// the global pool. Results are in spec.n_values order. A point whose
+/// solver fails never aborts the sweep: it carries the Kingman bound
+/// (fallback_bound), or is marked failed when the bound does not apply.
 [[nodiscard]] std::vector<RttSweepPoint> sweep_rtt_quantiles(
     const RttSweepSpec& spec);
 
@@ -66,10 +58,9 @@ struct LoadSweep {
   std::vector<RttSweepPoint> points;  ///< one per load, same order
 };
 
-/// The load sweep of `fpsq sweep` and the serve "sweep" op: downlink
-/// loads step, 2 step, ... below 0.95, stopping before the uplink load
-/// reaches 0.999, each evaluated by sweep_rtt_quantiles with the
-/// default spec (Kingman fallback on failure).
+/// The load sweep of the serve "sweep" op (and so of `fpsq sweep`):
+/// downlink loads step, 2 step, ... below 0.95, stopping before the
+/// uplink load reaches 0.999, each evaluated by sweep_rtt_quantiles.
 [[nodiscard]] LoadSweep sweep_load_grid(const AccessScenario& scenario,
                                         double epsilon, double step);
 
@@ -90,50 +81,14 @@ struct DimensioningTableSpec {
   std::vector<int> ks;
   std::vector<double> rtt_bounds_ms;
   double epsilon = 1e-5;
-  CombinationMethod method = CombinationMethod::kFullInversion;
-  double rho_tol = 1e-4;
-  /// kThrow rethrows the first failure through the pool (aborting the
-  /// grid); anything else flags the failing cell and keeps going. A
-  /// dimensioning bisection has no meaningful bound substitute, so
-  /// kFallbackBound behaves like kFlag here.
-  err::FailurePolicy on_failure = err::FailurePolicy::kFlag;
 };
 
 /// Runs dimension_for_rtt_checked over the ks x bounds grid in parallel
 /// (one task per cell; each bisection reuses canonical cache entries).
-/// Cells are returned row-major: for each k, every bound in order —
-/// including failed cells, which keep their grid position.
+/// Cells are returned row-major: for each k, every bound in order. A
+/// cell whose solver fails is flagged and keeps its grid position; a
+/// bisection has no bound to substitute.
 [[nodiscard]] std::vector<DimensioningCell> dimension_table(
     const DimensioningTableSpec& spec);
-
-/// Quantile summary of one multi-server configuration.
-struct MultiServerPoint {
-  double rho = 0.0;
-  double mean_burst_wait_ms = 0.0;
-  double burst_wait_quantile_ms = 0.0;
-  std::vector<double> per_server_quantile_ms;  ///< tagged-packet, per server
-  double mixed_quantile_ms = 0.0;              ///< burst-rate-weighted mix
-};
-
-/// Builds and evaluates one MultiServerDownstreamModel per config, in
-/// parallel (construction dominates: one root find per server class).
-[[nodiscard]] std::vector<MultiServerPoint> evaluate_multi_server(
-    const std::vector<std::vector<GameServerSpec>>& configs,
-    double bottleneck_bps, double epsilon,
-    MultiServerDownstreamModel::WaitForm wait_form =
-        MultiServerDownstreamModel::WaitForm::kAuto);
-
-/// Quantile summary of one mixed-population upstream model.
-struct MixedPopulationPoint {
-  double rho = 0.0;
-  double mean_wait_ms = 0.0;
-  double wait_quantile_ms = 0.0;
-};
-
-/// Builds and evaluates one MixedUpstreamModel per population, in
-/// parallel.
-[[nodiscard]] std::vector<MixedPopulationPoint> mixed_population_quantiles(
-    const std::vector<std::vector<GamerClass>>& populations,
-    double bottleneck_bps, double epsilon, bool paper_eq14 = true);
 
 }  // namespace fpsq::core

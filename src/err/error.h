@@ -78,13 +78,6 @@ class SolverFailure : public std::runtime_error {
 /// Counts the failure into the err.* metrics (total + per-code).
 void record_failure(const SolverError& e);
 
-/// What a batch driver does with a cell whose solver failed.
-enum class FailurePolicy {
-  kThrow,          ///< propagate (the pre-robustness behaviour)
-  kFallbackBound,  ///< substitute the Kingman/heavy-traffic bound
-  kFlag,           ///< emit the cell marked failed, values zeroed
-};
-
 /// Minimal value-or-error carrier for the solver factories. T must be
 /// movable; Result itself is move-only when T is.
 template <typename T>

@@ -96,6 +96,9 @@ MetricClass classify_metric(std::string_view key) {
   if (key == "threads" || key.rfind("cache_", 0) == 0) {
     return MetricClass::kInfo;
   }
+  if (contains(key, "diff") || contains(key, "err")) {
+    return MetricClass::kAccuracy;
+  }
   if (key == "wall_s" || ends_with(key, "_s") ||
       contains(key, "events_per_sec") || contains(key, "speedup")) {
     return MetricClass::kTiming;

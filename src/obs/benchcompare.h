@@ -31,9 +31,11 @@ namespace fpsq::obs {
 
 enum class MetricClass { kTiming, kAccuracy, kInfo };
 
-/// Classifies a metric key: `wall_s`, `*_s`, `*events_per_sec*` and
-/// `*speedup*` are timing; `threads` and `cache_*` are info; everything
-/// else is an accuracy metric.
+/// Classifies a metric key: `threads` and `cache_*` are info; a key
+/// containing `diff` or `err` is accuracy (an error measured in seconds,
+/// like `quantile_max_abs_diff_s`, is still an error); `wall_s`, `*_s`,
+/// `*events_per_sec*` and `*speedup*` are timing; everything else is an
+/// accuracy metric.
 [[nodiscard]] MetricClass classify_metric(std::string_view key);
 
 [[nodiscard]] const char* metric_class_name(MetricClass c);

@@ -10,8 +10,8 @@
 //
 // Failures (bracket expansion exhausted, Newton not converged) are
 // routed through the fpsq::err structured taxonomy as kNonConvergence so
-// the sweep drivers' FailurePolicy degradation applies to inversion
-// failures exactly as it does to solver failures.
+// the sweep drivers degrade an inversion failure exactly as they do a
+// solver failure.
 #pragma once
 
 #include <functional>

@@ -4,19 +4,19 @@
 // order) and returns one NDJSON response line per request, same order.
 // Within a batch, requests sharing a work_key() are deduplicated: each
 // distinct key is evaluated exactly once on the fpsq::par pool, and the
-// result fragment is re-wrapped with every duplicate's own id. Because
-// the evaluation runs through the same library entry points as the
-// one-shot CLI commands — RttModel::create / dimension_for_rtt_checked /
+// result fragment is re-wrapped with every duplicate's own id.
+// Engine::execute_one() evaluates a single request the same way; the
+// one-shot CLI commands `fpsq rtt|dimension|sweep` print its response.
+// Every evaluation runs RttModel::create / dimension_for_rtt_checked /
 // sweep_load_grid, all routed through the exact-keyed SolverCache and a
-// per-model precompiled TailKernel — a deduplicated (or cache-warmed)
+// per-model precompiled TailKernel, so a deduplicated (or cache-warmed)
 // response is bit-identical to a cold one-shot run by construction: a
 // cache hit returns the canonical solve (see queueing/solver_cache.h).
 //
 // Deadlines: a request whose deadline expired before its batch started
 // is answered with a `deadline_exceeded` error instead of being
-// executed — the admission-control face of FailurePolicy degradation
-// (inside a sweep evaluation, failed points still degrade per
-// FailurePolicy::kFallbackBound exactly as the CLI does).
+// executed. Inside a sweep evaluation a failed point degrades to the
+// Kingman bound (see core/sweep.h).
 //
 // Telemetry (all under serve.*, see docs/OBSERVABILITY.md):
 //   serve.batches, serve.batch_size (hist), serve.dedup_hits,
@@ -48,8 +48,8 @@ class Engine {
       const std::vector<ParsedRequest>& batch) const;
 
   /// Evaluates one valid request (no batching, no deadline check) and
-  /// returns the full response line. Exposed for bit-identity tests and
-  /// the bench's one-shot emulation path.
+  /// returns the full response line: the evaluation behind the one-shot
+  /// CLI commands, and the cold reference of the bit-identity checks.
   [[nodiscard]] std::string execute_one(const Request& request) const;
 
  private:

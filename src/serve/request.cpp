@@ -38,22 +38,18 @@ void require(bool ok, const char* key, const char* constraint) {
   if (!ok) fail(std::string("'") + key + "' must be " + constraint);
 }
 
-/// Mirrors scenario_from() in tools/fpsq.cpp: same wire names as the CLI
-/// scenario flags, same units (c in Mb/s, rup/rdown in kb/s), same range
-/// checks — so a request maps to exactly the AccessScenario the one-shot
-/// commands would build.
+/// The one scenario validator: `fpsq serve` requests and the CLI's
+/// scenario flags (which tools/fpsq.cpp turns into this object) both
+/// land here.
 core::AccessScenario scenario_field(const Value& root) {
   core::AccessScenario s;
   const Value* sc = root.find("scenario");
   if (sc == nullptr) return s;  // paper Section-4 defaults
   if (!sc->is_object()) fail("'scenario' must be an object");
-  static constexpr const char* kKnown[] = {
-      "k",   "tick",  "ps",   "pc",   "c",
-      "rup", "rdown", "prop", "proc", "jitter"};
   for (const auto& [key, value] : sc->object) {
     (void)value;
     bool known = false;
-    for (const char* k : kKnown) known = known || key == k;
+    for (const char* k : kScenarioKeys) known = known || key == k;
     if (!known) fail("unknown scenario key '" + key + "'");
   }
   const double k = number_field(*sc, "k", 9.0);
@@ -133,14 +129,19 @@ std::string Request::work_key() const {
 }
 
 ParsedRequest parse_request(const std::string& line) {
-  ParsedRequest out;
   Value root;
   try {
     root = obs::json::parse(line);
   } catch (const std::exception& e) {
+    ParsedRequest out;
     out.error = std::string("malformed JSON: ") + e.what();
     return out;
   }
+  return validate_request(root);
+}
+
+ParsedRequest validate_request(const Value& root) {
+  ParsedRequest out;
   try {
     if (!root.is_object()) fail("request must be a JSON object");
     out.id = id_field(root);
@@ -172,11 +173,8 @@ ParsedRequest parse_request(const std::string& line) {
 
     out.request.scenario = scenario_field(root);
     out.request.epsilon = number_field(root, "eps", 1e-5);
-    // Same predicate as the CLI's --eps (core::valid_epsilon): the two
-    // layers used to re-implement this range check independently and
-    // drift; now they cannot.
-    require(core::valid_epsilon(out.request.epsilon), "eps",
-            core::kEpsilonConstraint);
+    require(out.request.epsilon > 0.0 && out.request.epsilon < 1.0, "eps",
+            "in (0, 1)");
     out.request.gamers = number_field(root, "gamers", 60.0);
     require(out.request.gamers > 0.0, "gamers", "> 0");
     out.request.bound_ms = number_field(root, "bound", 50.0);

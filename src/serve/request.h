@@ -15,10 +15,11 @@
 //     shed               admission control dropped the request (queue full)
 //     deadline_exceeded  the request expired before execution started
 //
-// The supported ops mirror the one-shot CLI commands and run through the
-// exact same library entry points, so a served response is bit-identical
-// to what `fpsq rtt` / `fpsq dimension` / `fpsq sweep` computes for the
-// same parameters (see docs/SERVING.md for the field-by-field schema).
+// The one-shot CLI commands `fpsq rtt` / `fpsq dimension` / `fpsq sweep`
+// are clients of this model: they build their request from the command
+// line through validate_request() and print Engine::execute_one()'s
+// response, so a served response carries exactly the numbers the CLI
+// prints (see docs/SERVING.md for the field-by-field schema).
 #pragma once
 
 #include <chrono>
@@ -27,6 +28,7 @@
 
 #include "core/scenario.h"
 #include "err/error.h"
+#include "obs/json.h"
 
 namespace fpsq::serve {
 
@@ -44,9 +46,13 @@ enum class Op {
 /// Stable wire name of an op ("rtt", "dimension", "sweep").
 [[nodiscard]] const char* op_name(Op op) noexcept;
 
-/// One validated request. Defaults match the one-shot CLI defaults so a
-/// minimal `{"op":"rtt"}` line is a valid request for the paper's
-/// Section-4 scenario.
+/// Keys of the request's "scenario" object, which are also the CLI's
+/// scenario flags (c in Mb/s, rup/rdown in kb/s, times in ms).
+inline constexpr const char* kScenarioKeys[] = {
+    "k", "tick", "ps", "pc", "c", "rup", "rdown", "prop", "proc", "jitter"};
+
+/// One validated request. Omitted fields take the paper's Section-4
+/// defaults, so a minimal `{"op":"rtt"}` line is a valid request.
 struct Request {
   std::string id;  ///< client correlation token, echoed verbatim
   Op op = Op::kRtt;
@@ -57,9 +63,7 @@ struct Request {
   double step = 0.05;       ///< sweep
   /// Per-request deadline relative to admission; 0 = none. An expired
   /// request is answered with `deadline_exceeded` instead of being
-  /// executed (the admission-control analogue of FailurePolicy
-  /// degradation: the engine sheds work instead of crashing or stalling
-  /// the batch).
+  /// executed: the engine sheds work instead of stalling the batch.
   double deadline_ms = 0.0;
   /// Stamped at admission; execution checks the deadline against it.
   std::chrono::steady_clock::time_point admitted_at;
@@ -80,6 +84,10 @@ struct ParsedRequest {
 
 /// Parses + validates one NDJSON request line. Never throws.
 [[nodiscard]] ParsedRequest parse_request(const std::string& line);
+
+/// Validates an already parsed request object; the whole of
+/// parse_request() after the JSON parse. Never throws.
+[[nodiscard]] ParsedRequest validate_request(const obs::json::Value& root);
 
 /// Response serialization helpers. `precision` is the significant-digit
 /// count for doubles (1..17; 17 round-trips exactly, smaller values give

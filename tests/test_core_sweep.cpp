@@ -107,7 +107,6 @@ TEST(DimensionTable, ParallelGridMatchesSerialCalls) {
   spec.scenario = paper_scenario();
   spec.ks = {2, 9};
   spec.rtt_bounds_ms = {50.0, 100.0};
-  spec.rho_tol = 1e-3;  // keep the test quick
 
   par::set_global_thread_count(4);
   const auto cells = core::dimension_table(spec);
@@ -121,8 +120,7 @@ TEST(DimensionTable, ParallelGridMatchesSerialCalls) {
       EXPECT_EQ(cells[i].rtt_bound_ms, bound);
       core::AccessScenario s = spec.scenario;
       s.erlang_k = k;
-      const auto direct = core::dimension_for_rtt(
-          s, bound, spec.epsilon, spec.method, spec.rho_tol);
+      const auto direct = core::dimension_for_rtt(s, bound, spec.epsilon);
       EXPECT_EQ(cells[i].result.rho_max, direct.rho_max) << "cell " << i;
       EXPECT_EQ(cells[i].result.n_max_int, direct.n_max_int);
       EXPECT_EQ(cells[i].result.rtt_at_max_ms, direct.rtt_at_max_ms);
@@ -134,53 +132,6 @@ TEST(DimensionTable, ParallelGridMatchesSerialCalls) {
   EXPECT_LT(cells[0].result.n_max_int, cells[2].result.n_max_int);
 }
 
-TEST(MultiServer, ParallelConfigsMatchDirectModels) {
-  std::vector<std::vector<core::GameServerSpec>> configs;
-  for (int m = 1; m <= 4; ++m) {
-    configs.emplace_back(static_cast<std::size_t>(m),
-                         core::GameServerSpec{});
-  }
-  const double capacity = 30e6;
-  par::set_global_thread_count(4);
-  const auto points =
-      core::evaluate_multi_server(configs, capacity, 1e-4);
-  par::set_global_thread_count(1);
-  ASSERT_EQ(points.size(), configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const core::MultiServerDownstreamModel direct{configs[i], capacity};
-    EXPECT_EQ(points[i].rho, direct.rho());
-    EXPECT_EQ(points[i].burst_wait_quantile_ms,
-              direct.burst_wait_quantile_ms(1e-4));
-    ASSERT_EQ(points[i].per_server_quantile_ms.size(), configs[i].size());
-    EXPECT_EQ(points[i].per_server_quantile_ms[0],
-              direct.packet_delay_quantile_ms(0, 1e-4));
-  }
-  // Load grows with the number of multiplexed servers.
-  EXPECT_LT(points[0].rho, points[3].rho);
-}
-
-TEST(MixedPopulation, ParallelPopulationsMatchDirectModels) {
-  std::vector<std::vector<core::GamerClass>> populations;
-  for (double n = 20.0; n <= 80.0; n += 20.0) {
-    populations.push_back({core::GamerClass{n, 80.0, 40.0},
-                           core::GamerClass{0.5 * n, 200.0, 50.0}});
-  }
-  const double capacity = 5e6;
-  par::set_global_thread_count(4);
-  const auto points =
-      core::mixed_population_quantiles(populations, capacity, 1e-5);
-  par::set_global_thread_count(1);
-  ASSERT_EQ(points.size(), populations.size());
-  for (std::size_t i = 0; i < populations.size(); ++i) {
-    const core::MixedUpstreamModel direct{populations[i], capacity};
-    EXPECT_EQ(points[i].rho, direct.rho());
-    EXPECT_EQ(points[i].wait_quantile_ms,
-              direct.wait_quantile_ms(1e-5, true));
-    EXPECT_EQ(points[i].mean_wait_ms, direct.mean_wait_ms());
-  }
-  EXPECT_LT(points[0].rho, points[3].rho);
-}
-
 // A mid-sweep solver failure degrades exactly the faulted point: every
 // other point stays bit-identical to an unfaulted run.
 TEST(RttSweep, MidSweepFailureLeavesOtherPointsBitIdentical) {
@@ -190,7 +141,6 @@ TEST(RttSweep, MidSweepFailureLeavesOtherPointsBitIdentical) {
   core::RttSweepSpec spec;
   spec.scenario = scenario;
   spec.n_values = load_grid(scenario);  // 17 points, rho 0.05 .. 0.85
-  spec.on_failure = err::FailurePolicy::kFallbackBound;
   par::set_global_thread_count(1);
 
   err::clear_faults();

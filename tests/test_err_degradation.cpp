@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -111,29 +110,32 @@ TEST_F(ErrDegradationTest, SweepDegradesForEveryInjectedFailureClass) {
   }
 }
 
-TEST_F(ErrDegradationTest, SweepFlagPolicyMarksCellsWithZeroedValues) {
-  auto spec = base_spec();
-  spec.on_failure = err::FailurePolicy::kFlag;
-  err::inject_fault("queueing.dek1",
-                    err::SolverErrorCode::kNonConvergence, 0.38, 0.62);
+TEST_F(ErrDegradationTest, SweepMarksPointPastStabilityFailed) {
+  // rho_down = 1.25 fails with kUnstable, and the Kingman bound does not
+  // apply past the stability limit either: the point is marked failed
+  // with zeroed values, and its neighbours are untouched.
+  core::RttSweepSpec spec;
+  const double unstable = spec.scenario.clients_for_downlink_load(1.25);
+  spec.n_values = {spec.scenario.clients_for_downlink_load(0.3), unstable,
+                   spec.scenario.clients_for_downlink_load(0.5)};
   const auto points = core::sweep_rtt_quantiles(spec);
-  for (std::size_t i = 3; i <= 5; ++i) {
-    EXPECT_TRUE(points[i].failed);
-    EXPECT_FALSE(points[i].fallback_bound);
-    EXPECT_EQ(points[i].rtt_quantile_ms, 0.0);
-    EXPECT_EQ(points[i].error, err::SolverErrorCode::kNonConvergence);
-    EXPECT_DOUBLE_EQ(points[i].n_clients, spec.n_values[i]);
-  }
-  EXPECT_FALSE(points[2].failed);
-  EXPECT_FALSE(points[6].failed);
-}
+  ASSERT_EQ(points.size(), 3u);
+  EXPECT_TRUE(points[1].failed);
+  EXPECT_FALSE(points[1].fallback_bound);
+  EXPECT_EQ(points[1].error, err::SolverErrorCode::kUnstable);
+  EXPECT_FALSE(points[1].error_detail.empty());
+  EXPECT_DOUBLE_EQ(points[1].n_clients, unstable);
+  EXPECT_EQ(points[1].rtt_quantile_ms, 0.0);
+  EXPECT_EQ(points[1].rtt_mean_ms, 0.0);
+  EXPECT_EQ(points[1].downstream_quantile_ms, 0.0);
 
-TEST_F(ErrDegradationTest, SweepThrowPolicyKeepsLegacyAbort) {
-  auto spec = base_spec();
-  spec.on_failure = err::FailurePolicy::kThrow;
-  err::inject_fault("queueing.dek1",
-                    err::SolverErrorCode::kNonConvergence, 0.38, 0.62);
-  EXPECT_THROW(core::sweep_rtt_quantiles(spec), err::SolverFailure);
+  core::RttSweepSpec neighbours = spec;
+  neighbours.n_values = {spec.n_values[0], spec.n_values[2]};
+  const auto alone = core::sweep_rtt_quantiles(neighbours);
+  EXPECT_TRUE(points_identical(points[0], alone[0]));
+  EXPECT_TRUE(points_identical(points[2], alone[1]));
+  EXPECT_FALSE(points[0].failed);
+  EXPECT_FALSE(points[2].failed);
 }
 
 TEST_F(ErrDegradationTest, SweepBitIdenticalAcrossThreadCountsUnderFaults) {
@@ -214,8 +216,7 @@ TEST_F(ErrDegradationTest, DimensionGridIsolatesNaturalBadCell) {
   core::AccessScenario nine = spec.scenario;
   nine.erlang_k = 9;
   queueing::SolverCache::global().clear();
-  const auto direct = core::dimension_for_rtt(nine, 60.0, spec.epsilon,
-                                              spec.method, spec.rho_tol);
+  const auto direct = core::dimension_for_rtt(nine, 60.0, spec.epsilon);
   EXPECT_EQ(cells[1].result.rho_max, direct.rho_max);
   EXPECT_EQ(cells[1].result.n_max_int, direct.n_max_int);
   EXPECT_EQ(cells[1].result.rtt_at_max_ms, direct.rtt_at_max_ms);
@@ -245,19 +246,6 @@ TEST_F(ErrDegradationTest, DimensionGridFlagsEachInjectedFailureClass) {
 #ifndef FPSQ_NO_METRICS
   EXPECT_EQ(counter_value("err.failed_cells"), 8u);
 #endif
-}
-
-TEST_F(ErrDegradationTest, DimensionThrowPolicyKeepsLegacyAbort) {
-  core::DimensioningTableSpec spec;
-  spec.ks = {9};
-  spec.rtt_bounds_ms = {60.0};
-  spec.on_failure = err::FailurePolicy::kThrow;
-  err::inject_fault("queueing.dek1",
-                    err::SolverErrorCode::kNonConvergence);
-  EXPECT_THROW(core::dimension_table(spec), err::SolverFailure);
-  err::clear_faults();
-  spec.ks = {-3};
-  EXPECT_THROW(core::dimension_table(spec), std::invalid_argument);
 }
 
 }  // namespace

@@ -46,6 +46,10 @@ TEST(ObsBenchdiff, MetricClassification) {
   EXPECT_EQ(classify_metric("err_pct"), MetricClass::kAccuracy);
   EXPECT_EQ(classify_metric("q999_ms"), MetricClass::kAccuracy);
   EXPECT_EQ(classify_metric("n_max"), MetricClass::kAccuracy);
+  // An error measured in seconds is accuracy despite its `_s` suffix.
+  EXPECT_EQ(classify_metric("quantile_max_abs_diff_s"),
+            MetricClass::kAccuracy);
+  EXPECT_EQ(classify_metric("max_err_s"), MetricClass::kAccuracy);
 }
 
 TEST(ObsBenchdiff, IdenticalCollectionsPass) {

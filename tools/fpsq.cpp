@@ -29,10 +29,7 @@
 #include <vector>
 
 #include "check/check.h"
-#include "core/dimensioning.h"
 #include "core/report.h"
-#include "serve/server.h"
-#include "core/rtt_model.h"
 #include "core/sweep.h"
 #include "core/validation.h"
 #include "dist/fitting.h"
@@ -44,6 +41,9 @@
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
+#include "serve/engine.h"
+#include "serve/request.h"
+#include "serve/server.h"
 #include "sim/replication.h"
 #include "sim/trace_replay.h"
 #include "trace/analyzer.h"
@@ -143,12 +143,15 @@ class Args {
     }
   }
 
+  /// Throws a UsageError for this command.
+  [[noreturn]] void fail(const std::string& what) const {
+    throw UsageError(cmd_, what);
+  }
+
   /// Range guard: throws a UsageError naming the flag when `ok` is false.
   void require(bool ok, const std::string& flag,
                const std::string& constraint) const {
-    if (!ok) {
-      throw UsageError(cmd_, "--" + flag + " must be " + constraint);
-    }
+    if (!ok) fail("--" + flag + " must be " + constraint);
   }
 
   [[nodiscard]] double number(const std::string& key, double fallback) const {
@@ -228,41 +231,71 @@ void apply_execution_flags(const Args& args) {
   }
 }
 
-core::AccessScenario scenario_from(const Args& args) {
-  core::AccessScenario s;
-  const long long k = args.integer("k", 9);
-  args.require(k >= 1 && k <= 512, "k", "an integer in [1, 512]");
-  s.erlang_k = static_cast<int>(k);
-  s.tick_ms = args.number("tick", 40.0);
-  s.server_packet_bytes = args.number("ps", 125.0);
-  s.client_packet_bytes = args.number("pc", 80.0);
-  s.bottleneck_bps = args.number("c", 5.0) * 1e6;
-  s.uplink_bps = args.number("rup", 128.0) * 1e3;
-  s.downlink_bps = args.number("rdown", 1024.0) * 1e3;
-  args.require(s.tick_ms > 0.0, "tick", "> 0");
-  args.require(s.server_packet_bytes > 0.0, "ps", "> 0");
-  args.require(s.client_packet_bytes > 0.0, "pc", "> 0");
-  args.require(s.bottleneck_bps > 0.0, "c", "> 0");
-  args.require(s.uplink_bps > 0.0, "rup", "> 0");
-  args.require(s.downlink_bps > 0.0, "rdown", "> 0");
-  s.propagation_ms = args.number("prop", 0.0);
-  s.server_processing_ms = args.number("proc", 0.0);
-  s.tick_jitter_cov = args.number("jitter", 0.0);
-  args.require(s.propagation_ms >= 0.0, "prop", ">= 0");
-  args.require(s.server_processing_ms >= 0.0, "proc", ">= 0");
-  args.require(s.tick_jitter_cov >= 0.0, "jitter", ">= 0");
-  s.validate();
-  return s;
+/// The serve request behind an analytic command: the scenario flags and
+/// whichever of --gamers/--eps/--bound/--step the command takes, parsed
+/// strictly and then checked by serve's own validator. The CLI thus has
+/// the defaults and range checks of `fpsq serve`; a violation is a
+/// usage error.
+serve::Request request_from(const Args& args, serve::Op op) {
+  using obs::json::Value;
+  const auto number = [&](const char* key) {
+    Value v;
+    v.type = Value::Type::kNumber;
+    v.number = args.number(key, 0.0);
+    return v;
+  };
+  Value op_name;
+  op_name.type = Value::Type::kString;
+  op_name.string = serve::op_name(op);
+  Value scenario;
+  scenario.type = Value::Type::kObject;
+  for (const char* key : serve::kScenarioKeys) {
+    if (args.has(key)) scenario.object.emplace_back(key, number(key));
+  }
+  Value root;
+  root.type = Value::Type::kObject;
+  root.object.emplace_back("op", std::move(op_name));
+  root.object.emplace_back("scenario", std::move(scenario));
+  for (const char* key : {"gamers", "eps", "bound", "step"}) {
+    if (args.has(key)) root.object.emplace_back(key, number(key));
+  }
+  auto parsed = serve::validate_request(root);
+  if (!parsed.ok) args.fail(parsed.error);
+  return std::move(parsed.request);
 }
 
-/// The epsilon flag shared by the analytic commands. The range check is
-/// core::valid_epsilon — the same predicate serve::parse_request applies
-/// to the NDJSON "eps" field, so the CLI and the serving layer accept
-/// exactly the same values.
-double epsilon_from(const Args& args) {
-  const double eps = args.number("eps", 1e-5);
-  args.require(core::valid_epsilon(eps), "eps", core::kEpsilonConstraint);
-  return eps;
+/// Evaluates `request` with serve::Engine::execute_one, the evaluation
+/// `fpsq serve` runs, and returns the response's "result" object. The
+/// engine's default 17 significant digits round-trip exactly, so the
+/// printed numbers are the library's own doubles. A failed evaluation is
+/// rethrown the way the library reports it (exit 1).
+obs::json::Value execute(const serve::Request& request) {
+  const obs::json::Value response =
+      obs::json::parse(serve::Engine{}.execute_one(request));
+  if (const obs::json::Value* result = response.find("result")) {
+    return *result;
+  }
+  const obs::json::Value* error = response.find("error");
+  if (error == nullptr) throw std::runtime_error("malformed engine response");
+  const std::string detail = error->string_or("detail", "");
+  if (const auto code = err::code_from_name(error->string_or("code", ""))) {
+    err::throw_solver_error({*code, detail});
+  }
+  throw std::runtime_error(detail);
+}
+
+/// A numeric response field; JSON null (a non-finite value) reads as NaN.
+double field(const obs::json::Value& v, const char* key) {
+  return v.number_or(key, std::nan(""));
+}
+
+/// The constraint on a simulated duration: it must outlast the fixed
+/// warm-up the simulator discards, or the run has no samples.
+std::string past_warmup(double warmup_s) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "> %g [s] (the simulation warm-up)",
+                warmup_s);
+  return buf;
 }
 
 void print_scenario(const core::AccessScenario& s) {
@@ -274,49 +307,44 @@ void print_scenario(const core::AccessScenario& s) {
 }
 
 int cmd_rtt(const Args& args) {
-  const auto s = scenario_from(args);
-  const double n = args.number("gamers", 60.0);
-  args.require(n > 0.0, "gamers", "> 0");
-  const double eps = epsilon_from(args);
-  const core::RttModel m{s, n};
-  print_scenario(s);
-  const auto b = m.breakdown_ms(eps);
-  std::printf("gamers %.0f  rho_down %.3f  rho_up %.3f\n", n,
-              m.rho_down(), m.rho_up());
-  std::printf("mean RTT            %8.2f ms\n", m.rtt_mean_ms());
-  std::printf("RTT quantile (%g)  %8.2f ms\n", eps, b.total_ms);
-  std::printf("  deterministic     %8.2f ms\n", b.deterministic_ms);
-  std::printf("  upstream M/D/1    %8.2f ms\n", b.upstream_ms);
-  std::printf("  burst wait        %8.2f ms\n", b.burst_ms);
-  std::printf("  packet position   %8.2f ms\n", b.position_ms);
+  const auto req = request_from(args, serve::Op::kRtt);
+  const auto r = execute(req);
+  const obs::json::Value& b = *r.find("breakdown");
+  print_scenario(req.scenario);
+  std::printf("gamers %.0f  rho_down %.3f  rho_up %.3f\n", req.gamers,
+              field(r, "rho_down"), field(r, "rho_up"));
+  std::printf("mean RTT            %8.2f ms\n", field(r, "rtt_mean_ms"));
+  std::printf("RTT quantile (%g)  %8.2f ms\n", req.epsilon,
+              field(r, "rtt_quantile_ms"));
+  std::printf("  deterministic     %8.2f ms\n", field(b, "deterministic_ms"));
+  std::printf("  upstream M/D/1    %8.2f ms\n", field(b, "upstream_ms"));
+  std::printf("  burst wait        %8.2f ms\n", field(b, "burst_ms"));
+  std::printf("  packet position   %8.2f ms\n", field(b, "position_ms"));
   return 0;
 }
 
 int cmd_dimension(const Args& args) {
-  const auto s = scenario_from(args);
-  const double eps = epsilon_from(args);
-  const double bound = args.number("bound", 50.0);
-  args.require(bound > 0.0, "bound", "> 0 [ms]");
+  const auto req = request_from(args, serve::Op::kDimension);
   if (args.has("ks") || args.has("bounds")) {
     // Table-4 grid mode: every (K, bound) cell, in parallel. A cell
     // whose solver fails is flagged in the output instead of aborting
     // the other cells (see docs/ROBUSTNESS.md). The lists take the same
     // ranges as --k and --bound.
     core::DimensioningTableSpec spec;
-    spec.scenario = s;
+    spec.scenario = req.scenario;
     for (const double k : args.numbers("ks")) {
       args.require(k >= 1.0 && k <= 512.0 && k == std::floor(k), "ks",
                    "a list of integers in [1, 512]");
       spec.ks.push_back(static_cast<int>(k));
     }
-    if (spec.ks.empty()) spec.ks.push_back(s.erlang_k);
+    if (spec.ks.empty()) spec.ks.push_back(req.scenario.erlang_k);
     spec.rtt_bounds_ms = args.numbers("bounds");
     for (const double b : spec.rtt_bounds_ms) {
       args.require(b > 0.0, "bounds", "a list of bounds > 0 [ms]");
     }
-    if (spec.rtt_bounds_ms.empty()) spec.rtt_bounds_ms.push_back(bound);
-    spec.epsilon = eps;
-    print_scenario(s);
+    if (spec.rtt_bounds_ms.empty()) spec.rtt_bounds_ms.push_back(req.bound_ms);
+    spec.epsilon = req.epsilon;
+    print_scenario(req.scenario);
     std::printf("k,bound_ms,max_load,max_gamers,rtt_at_max_ms,status\n");
     for (const auto& cell : core::dimension_table(spec)) {
       if (cell.failed) {
@@ -330,31 +358,27 @@ int cmd_dimension(const Args& args) {
     }
     return 0;
   }
-  const auto d = core::dimension_for_rtt(s, bound, eps);
-  print_scenario(s);
+  const auto d = execute(req);
+  print_scenario(req.scenario);
   std::printf("RTT(%g) <= %.0f ms:  max load %.1f%%  max gamers %d  "
               "(RTT at max %.1f ms)\n",
-              eps, bound, 100.0 * d.rho_max, d.n_max_int, d.rtt_at_max_ms);
+              req.epsilon, req.bound_ms, 100.0 * field(d, "rho_max"),
+              static_cast<int>(field(d, "n_max_int")),
+              field(d, "rtt_at_max_ms"));
   return 0;
 }
 
 int cmd_sweep(const Args& args) {
-  const auto s = scenario_from(args);
-  const double eps = epsilon_from(args);
-  const double step = args.number("step", 0.05);
-  args.require(step > 0.0 && step < 0.95, "step", "in (0, 0.95)");
-  const auto sweep = core::sweep_load_grid(s, eps, step);
-  print_scenario(s);
+  const auto req = request_from(args, serve::Op::kSweep);
+  const auto r = execute(req);
+  print_scenario(req.scenario);
   std::printf("load,gamers,rtt_quantile_ms,rtt_mean_ms,status\n");
-  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-    const core::RttSweepPoint& p = sweep.points[i];
+  for (const obs::json::Value& p : r.find("points")->array) {
     // "bound" marks a point served by the Kingman fallback after a
     // solver failure; "failed" means not even the bound applied.
-    const char* status = p.failed           ? "failed"
-                         : p.fallback_bound ? "bound"
-                                            : "exact";
-    std::printf("%.3f,%.1f,%.2f,%.2f,%s\n", sweep.loads[i], p.n_clients,
-                p.rtt_quantile_ms, p.rtt_mean_ms, status);
+    std::printf("%.3f,%.1f,%.2f,%.2f,%s\n", field(p, "load"),
+                field(p, "gamers"), field(p, "rtt_quantile_ms"),
+                field(p, "rtt_mean_ms"), p.string_or("status", "").c_str());
   }
   return 0;
 }
@@ -482,29 +506,25 @@ int cmd_analyze(const Args& args) {
 }
 
 int cmd_report(const Args& args) {
-  const auto s = scenario_from(args);
+  const auto req = request_from(args, serve::Op::kRtt);
   core::ReportOptions opt;
-  opt.n_clients = args.number("gamers", 60.0);
-  args.require(opt.n_clients > 0.0, "gamers", "> 0");
-  opt.epsilon = epsilon_from(args);
+  opt.n_clients = req.gamers;
+  opt.epsilon = req.epsilon;
   const long long telemetry = args.integer("telemetry", 0);
   args.require(telemetry == 0 || telemetry == 1, "telemetry", "0 or 1");
   opt.include_telemetry = telemetry == 1;
-  std::fputs(core::scenario_report_markdown(s, opt).c_str(), stdout);
+  std::fputs(core::scenario_report_markdown(req.scenario, opt).c_str(),
+             stdout);
   return 0;
 }
 
 int cmd_profile(const Args& args) {
-  const auto s = scenario_from(args);
-  const double n = args.number("gamers", 60.0);
-  args.require(n > 0.0, "gamers", "> 0");
-  const double eps = epsilon_from(args);
-  print_scenario(s);
-  // Analytic stack: quantile + breakdown exercise the full solver chain
-  // (fixed-point pole searches, M/D/1 dominant pole, convolutions).
-  const core::RttModel model{s, n};
-  (void)model.rtt_mean_ms();
-  (void)model.breakdown_ms(eps);
+  const auto req = request_from(args, serve::Op::kRtt);
+  print_scenario(req.scenario);
+  // Analytic stack: the rtt evaluation's quantile + breakdown exercise
+  // the full solver chain (fixed-point pole searches, M/D/1 dominant
+  // pole, convolutions).
+  (void)execute(req);
   // Simulation stack: a short packet-level run for event-loop stats.
   core::ValidationOptions vopt;
   vopt.duration_s = args.number("duration", 10.0);
@@ -513,7 +533,8 @@ int cmd_profile(const Args& args) {
   const long long seed = args.integer("seed", 1);
   args.require(seed >= 0, "seed", ">= 0");
   vopt.seed = static_cast<std::uint64_t>(seed);
-  (void)core::validate_point(s, static_cast<int>(n), vopt);
+  (void)core::validate_point(req.scenario, static_cast<int>(req.gamers),
+                             vopt);
   obs::ensure_baseline_schema();
   std::fputs(
       obs::render_summary(obs::MetricsRegistry::global().snapshot())
@@ -575,13 +596,17 @@ int cmd_replay(const Args& args) {
 }
 
 int cmd_validate(const Args& args) {
-  const auto s = scenario_from(args);
+  const auto s = request_from(args, serve::Op::kRtt).scenario;
+  const long long reps_ll = args.integer("reps", 1);
+  args.require(reps_ll >= 1, "reps", "an integer >= 1");
+  const auto reps = static_cast<std::size_t>(reps_ll);
   core::ValidationOptions opt;
   opt.quantile_prob = args.number("prob", 0.999);
   args.require(opt.quantile_prob > 0.0 && opt.quantile_prob < 1.0, "prob",
                "in (0, 1)");
   opt.duration_s = args.number("duration", 120.0);
-  args.require(opt.duration_s > 0.0, "duration", "> 0 [s]");
+  args.require(opt.duration_s > opt.warmup_s, "duration",
+               past_warmup(opt.warmup_s));
   const long long seed = args.integer("seed", 1);
   args.require(seed >= 0, "seed", ">= 0");
   opt.seed = static_cast<std::uint64_t>(seed);
@@ -590,9 +615,6 @@ int cmd_validate(const Args& args) {
   const int n = std::max(
       1, static_cast<int>(s.clients_for_downlink_load(rho)));
   print_scenario(s);
-  const long long reps_ll = args.integer("reps", 1);
-  args.require(reps_ll >= 1, "reps", "an integer >= 1");
-  const auto reps = static_cast<std::size_t>(reps_ll);
   if (reps > 1) {
     // Independent replications in parallel (counter-based seeds), with
     // across-replication spread for the simulated quantiles.
@@ -734,7 +756,8 @@ int cmd_check(const Args& args) {
                "an integer in [1, 64]");
   opt.sim_replications = static_cast<int>(sim_reps);
   opt.sim_duration_s = args.number("sim-duration", 20.0);
-  args.require(opt.sim_duration_s > 0.0, "sim-duration", "> 0 [s]");
+  args.require(opt.sim_duration_s > check::kSimWarmupS, "sim-duration",
+               past_warmup(check::kSimWarmupS));
   opt.perturb = args.number("perturb", 0.0);
   args.require(std::isfinite(opt.perturb), "perturb", "finite");
 
@@ -793,7 +816,8 @@ const char* usage_text(const std::string& topic) {
            "              [--seed 1] [--reps 1] [scenario flags]\n"
            "  analytic model vs packet-level simulation; --reps R > 1 runs\n"
            "  R independent replications in parallel and reports the\n"
-           "  across-replication spread\n";
+           "  across-replication spread. --duration must exceed the\n"
+           "  fixed 5 s warm-up\n";
   }
   if (topic == "profile") {
     return "fpsq profile [--gamers 60] [--duration 10] [--seed 1]\n"
@@ -829,7 +853,8 @@ const char* usage_text(const std::string& topic) {
            "  one reproducible record per disagreement. Deterministic:\n"
            "  the report is bit-identical at any --threads count.\n"
            "  --perturb X biases the kernel side by X (self-test: a\n"
-           "  nonzero perturbation must fail). Exit 0 clean, 1 mismatch.\n"
+           "  nonzero perturbation must fail). --sim-duration must\n"
+           "  exceed the fixed 2 s warm-up. Exit 0 clean, 1 mismatch.\n"
            "  See docs/CHECKING.md for the tolerance ladder.\n";
   }
   if (topic == "benchdiff") {
@@ -841,7 +866,8 @@ const char* usage_text(const std::string& topic) {
            "  with per-class tolerances: timing metrics (wall_s, *_s,\n"
            "  events_per_sec, speedup) only warn beyond --timing-tol\n"
            "  relative + --timing-abs-tol absolute slack, accuracy\n"
-           "  metrics fail beyond --acc-tol relative drift\n"
+           "  metrics (any key containing diff or err, and the rest)\n"
+           "  fail beyond --acc-tol relative drift\n"
            "  exit codes: 0 pass, 3 warnings only (timing noise /\n"
            "  baseline refresh hints), 4 accuracy regression\n";
   }
@@ -884,11 +910,9 @@ int cmd_help(const std::string& topic) {
 /// execution/observability flags are implied); used by Args::allow_only
 /// so a typoed flag fails loudly instead of silently using the default.
 std::vector<std::string> flags_for(const std::string& cmd) {
-  static const std::vector<std::string> kScenarioFlags = {
-      "k",   "tick", "ps",   "pc",   "c",
-      "rup", "rdown", "prop", "proc", "jitter"};
   auto with_scenario = [](std::initializer_list<const char*> extra) {
-    std::vector<std::string> out = kScenarioFlags;
+    std::vector<std::string> out(std::begin(serve::kScenarioKeys),
+                                 std::end(serve::kScenarioKeys));
     out.insert(out.end(), extra.begin(), extra.end());
     return out;
   };
