@@ -10,7 +10,8 @@
 // queueing.kernel.tail_evals.
 //
 // Phase B times the full Table-4 dimensioning grid serially from a cold
-// cache and reports how many kernels compiled closed-form.
+// cache and reports how many convolved kernels it compiled and how many
+// of those carry series terms.
 //
 // Headline metrics:
 //   tail_eval_ratio          oracle evals / kernel evals per quantile
@@ -161,9 +162,9 @@ int main() {
   jr.metric("kernel_closed_form_hits",
             static_cast<double>(
                 counter_value("queueing.kernel.closed_form_hits")));
-  jr.metric("kernel_quad_fallbacks",
+  jr.metric("kernel_series_kernels",
             static_cast<double>(
-                counter_value("queueing.kernel.quad_fallbacks")));
+                counter_value("queueing.kernel.series_kernels")));
 
   bench::footnote(
       "tail_eval_ratio >= 10 is the kernel's acceptance threshold; the"

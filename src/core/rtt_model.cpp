@@ -38,25 +38,22 @@ Complex decollide(Complex pole, const ErlangMixMgf& reference) {
 }  // namespace
 
 err::Result<RttModel> RttModel::create(const AccessScenario& scenario,
-                                       double n_clients,
-                                       UpstreamVariant upstream) {
+                                       double n_clients) {
   RttModel model;
-  if (auto e = model.init(scenario, n_clients, upstream)) {
+  if (auto e = model.init(scenario, n_clients)) {
     return *std::move(e);
   }
   return model;
 }
 
-RttModel::RttModel(const AccessScenario& scenario, double n_clients,
-                   UpstreamVariant upstream) {
-  if (auto e = init(scenario, n_clients, upstream)) {
+RttModel::RttModel(const AccessScenario& scenario, double n_clients) {
+  if (auto e = init(scenario, n_clients)) {
     err::throw_solver_error(*e);
   }
 }
 
 std::optional<err::SolverError> RttModel::init(
-    const AccessScenario& scenario, double n_clients,
-    UpstreamVariant upstream) {
+    const AccessScenario& scenario, double n_clients) {
   scenario_ = scenario;
   n_ = n_clients;
   // Own validation failures are recorded here; errors propagated from the
@@ -118,10 +115,7 @@ std::optional<err::SolverError> RttModel::init(
       8.0 * scenario_.client_packet_bytes / scenario_.bottleneck_bps;
   auto md1 = cache.md1_result(lambda_up, service_up);
   if (!md1.ok()) return md1.error();
-  const auto solution = std::move(md1).take_or_throw();
-  ErlangMixMgf up = upstream == UpstreamVariant::kPaperEq14
-                        ? solution->paper
-                        : solution->asymptotic;
+  ErlangMixMgf up = std::move(md1).take_or_throw()->paper;
   // Keep the upstream pole clear of the D/E_K/1 pole set before the
   // simple-pole product below.
   if (!up.terms().empty()) {
@@ -150,8 +144,8 @@ std::optional<err::SolverError> RttModel::init(
     }
   }
 
-  // Precompile the tail kernels: one closed-form (or GL-fallback)
-  // evaluator per law, shared by every subsequent tail/quantile query.
+  // Precompile the tail kernels: one exact evaluator per law, shared by
+  // every subsequent tail/quantile query.
   try {
     total_kernel_ =
         std::make_unique<const queueing::TailKernel>(upw_, *position_);

@@ -6,8 +6,9 @@
 // Combination is mathematically the product of the three MGFs (eq. 35).
 // Numerically we combine the two simple-pole factors D_u(s) W(s) by exact
 // partial fractions (benign) and fold in the Erlang-mixture position
-// delay by a stable convolution integral — see queueing/convolution.h for
-// why the fully-expanded eq. (35) is avoided at large K.
+// delay through queueing::TailKernel, which convolves each simple pole
+// with the mixture exactly — see docs/THEORY.md §1.1 for why the
+// fully-expanded eq. (35) is avoided at large K.
 #pragma once
 
 #include <memory>
@@ -31,12 +32,6 @@ enum class CombinationMethod {
   kSumOfQuantiles,  ///< sum of the three individual quantiles
 };
 
-/// Which single-pole upstream approximation to use for eq. (14).
-enum class UpstreamVariant {
-  kPaperEq14,   ///< atom 1 - rho_u (as printed in the paper)
-  kAsymptotic,  ///< atom chosen to match the exact M/D/1 tail constant
-};
-
 class RttModel {
  public:
   /// Non-throwing factory: the construction path used by the batch
@@ -51,8 +46,7 @@ class RttModel {
   ///   - kIllConditioned  solver weight/atom solution invalid
   /// plus whatever err::fault_check injects at the queueing.* sites.
   [[nodiscard]] static err::Result<RttModel> create(
-      const AccessScenario& scenario, double n_clients,
-      UpstreamVariant upstream = UpstreamVariant::kPaperEq14);
+      const AccessScenario& scenario, double n_clients);
 
   /// @param scenario   network/traffic parameters (validated)
   /// @param n_clients  number of gamers (may be fractional: the model is
@@ -60,8 +54,7 @@ class RttModel {
   /// @throws std::invalid_argument if either direction is unstable or
   ///         K < 2 (the paper's combined model needs the uniform-position
   ///         MGF of eq. 34, which requires K >= 2)
-  RttModel(const AccessScenario& scenario, double n_clients,
-           UpstreamVariant upstream = UpstreamVariant::kPaperEq14);
+  RttModel(const AccessScenario& scenario, double n_clients);
 
   [[nodiscard]] const AccessScenario& scenario() const noexcept {
     return scenario_;
@@ -154,8 +147,7 @@ class RttModel {
   RttModel() = default;  // used by create(); init() populates the state
 
   [[nodiscard]] std::optional<err::SolverError> init(
-      const AccessScenario& scenario, double n_clients,
-      UpstreamVariant upstream);
+      const AccessScenario& scenario, double n_clients);
 
   AccessScenario scenario_;
   double n_ = 0.0;

@@ -61,7 +61,6 @@ std::optional<RttSweepPoint> kingman_fallback_point(
                         (q_up + q_down + burst_s) * 1e3;
     p.rtt_mean_ms = scenario.deterministic_rtt_ms() +
                     (w_up + w_down + pos_mean) * 1e3;
-    p.downstream_quantile_ms = (q_down + burst_s) * 1e3;
     p.fallback_bound = true;
     return p;
   } catch (const std::exception&) {
@@ -113,7 +112,6 @@ std::vector<RttSweepPoint> sweep_rtt_quantiles(const RttSweepSpec& spec) {
     try {
       p.rtt_quantile_ms = model.rtt_quantile_ms(spec.epsilon);
       p.rtt_mean_ms = model.rtt_mean_ms();
-      p.downstream_quantile_ms = model.downstream_quantile_ms(spec.epsilon);
     } catch (const err::SolverFailure& ex) {
       // Quantile inversion failed after a successful solve (already
       // recorded at the throw site): degrade this point like a
@@ -121,7 +119,6 @@ std::vector<RttSweepPoint> sweep_rtt_quantiles(const RttSweepSpec& spec) {
       out[i] = failed_sweep_point(spec, n, ex.error());
       return;
     }
-    p.burst_wait_dropped = model.burst_wait_dropped();
     out[i] = std::move(p);
   });
   return out;

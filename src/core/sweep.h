@@ -27,8 +27,6 @@ struct RttSweepPoint {
   double rho_down = 0.0;
   double rtt_quantile_ms = 0.0;  ///< epsilon-quantile of the full RTT
   double rtt_mean_ms = 0.0;
-  double downstream_quantile_ms = 0.0;
-  bool burst_wait_dropped = false;
   /// Solver failed and the Kingman bound does not apply either (e.g.
   /// rho >= 1): the delay fields above are zero.
   bool failed = false;

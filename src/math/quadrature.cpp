@@ -1,9 +1,6 @@
 #include "math/quadrature.h"
 
 #include <cmath>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 
 namespace fpsq::math {
@@ -62,63 +59,6 @@ double integrate(const std::function<double(double)>& f, double a, double b,
   const double whole = simpson(fa, fm, fb, b - a);
   const double min_width = (b - a) * 1e-12;
   return adaptive(f, a, b, fa, fm, fb, whole, tol, max_depth, min_width);
-}
-
-namespace {
-
-GaussLegendreRule make_gauss_legendre(int n) {
-  GaussLegendreRule rule;
-  rule.nodes.resize(static_cast<std::size_t>(n));
-  rule.weights.resize(static_cast<std::size_t>(n));
-  // Roots of P_n by Newton from the Chebyshev-like initial guess; each
-  // root and its mirror fill the rule symmetrically.
-  const int half = (n + 1) / 2;
-  for (int i = 0; i < half; ++i) {
-    double x = std::cos(M_PI * (static_cast<double>(i) + 0.75) /
-                        (static_cast<double>(n) + 0.5));
-    double dp = 0.0;
-    for (int it = 0; it < 100; ++it) {
-      // Legendre recurrence: (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}.
-      double p0 = 1.0;
-      double p1 = x;
-      for (int j = 1; j < n; ++j) {
-        const double p2 = ((2.0 * j + 1.0) * x * p1 - j * p0) / (j + 1.0);
-        p0 = p1;
-        p1 = p2;
-      }
-      dp = static_cast<double>(n) * (x * p1 - p0) / (x * x - 1.0);
-      const double dx = p1 / dp;
-      x -= dx;
-      if (std::abs(dx) < 1e-15) break;
-    }
-    const double w = 2.0 / ((1.0 - x * x) * dp * dp);
-    rule.nodes[static_cast<std::size_t>(i)] = -x;
-    rule.weights[static_cast<std::size_t>(i)] = w;
-    rule.nodes[static_cast<std::size_t>(n - 1 - i)] = x;
-    rule.weights[static_cast<std::size_t>(n - 1 - i)] = w;
-  }
-  return rule;
-}
-
-}  // namespace
-
-const GaussLegendreRule& gauss_legendre(int n) {
-  if (n < 1 || n > 256) {
-    throw std::invalid_argument("gauss_legendre: n in [1, 256]");
-  }
-  static std::mutex mu;
-  // unique_ptr values keep node/weight storage stable across rehashes,
-  // so returned references survive concurrent insertions.
-  static std::map<int, std::unique_ptr<GaussLegendreRule>>* cache =
-      new std::map<int, std::unique_ptr<GaussLegendreRule>>();
-  const std::lock_guard<std::mutex> lock(mu);
-  auto it = cache->find(n);
-  if (it == cache->end()) {
-    it = cache->emplace(n, std::make_unique<GaussLegendreRule>(
-                               make_gauss_legendre(n)))
-             .first;
-  }
-  return *it->second;
 }
 
 }  // namespace fpsq::math

@@ -1,13 +1,10 @@
 // Adaptive Simpson quadrature. Used for validating closed-form MGFs
 // (e.g. the packet-position integral of eq. 30) against direct numerical
-// integration, and for distribution sanity checks in tests. Plus cached
-// fixed-node Gauss-Legendre rules for the hot convolution panels in
-// queueing::TailKernel, where the adaptive error estimate would cost more
-// than the integral.
+// integration, by the convolution oracle in queueing/convolution.h, and
+// for distribution sanity checks in tests.
 #pragma once
 
 #include <functional>
-#include <vector>
 
 namespace fpsq::math {
 
@@ -16,18 +13,5 @@ namespace fpsq::math {
 [[nodiscard]] double integrate(const std::function<double(double)>& f,
                                double a, double b, double tol = 1e-10,
                                int max_depth = 40);
-
-/// An n-point Gauss-Legendre rule on the reference interval [-1, 1]:
-/// sum_i weights[i] * f(nodes[i]) integrates polynomials up to degree
-/// 2n - 1 exactly. Nodes are ascending.
-struct GaussLegendreRule {
-  std::vector<double> nodes;
-  std::vector<double> weights;
-};
-
-/// Returns the cached n-point Gauss-Legendre rule (computed once per n by
-/// Newton iteration on P_n; thread-safe; the returned reference is valid
-/// for the process lifetime).
-[[nodiscard]] const GaussLegendreRule& gauss_legendre(int n);
 
 }  // namespace fpsq::math

@@ -165,6 +165,13 @@ RootResult newton_safe_impl(const std::function<double(double)>& f,
     if (dfx != 0.0) {
       x_next = x - fx / dfx;
       if (x_next <= a || x_next >= b) {
+        // A step below x_tol left the bracket only because x is the end
+        // just set: x is the root. Bisecting from the stale far end
+        // would only walk back to it.
+        if (std::abs(fx / dfx) < x_tol) {
+          r = {x, fx, i + 1, true};
+          return r;
+        }
         x_next = 0.5 * (a + b);  // Newton escaped the bracket: bisect
       }
     } else {

@@ -657,7 +657,7 @@ void ensure_baseline_schema() {
   (void)reg.counter("queueing.kernel.tail_evals");
   (void)reg.counter("queueing.kernel.density_evals");
   (void)reg.counter("queueing.kernel.closed_form_hits");
-  (void)reg.counter("queueing.kernel.quad_fallbacks");
+  (void)reg.counter("queueing.kernel.series_kernels");
   (void)reg.counter("queueing.convolution.tail_evals");
   (void)reg.histogram("queueing.kernel.newton_iters");
   // Serving front end (fpsq::serve): undeliverable responses.

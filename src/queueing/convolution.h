@@ -15,6 +15,9 @@
 //                + int_0^x f_V(w) P(Y > x - w) dw,
 //
 // where every ingredient is evaluated from a cancellation-free form.
+// Production evaluates the same law through queueing::TailKernel, which
+// convolves each pole exactly; this adaptive-quadrature integral is the
+// independent reference oracle for `fpsq check` and the tests.
 #pragma once
 
 #include "queueing/erlang_mix.h"

@@ -165,12 +165,10 @@ err::Result<std::shared_ptr<const MD1Solution>> SolverCache::md1_result(
         if (!created.ok()) return created.error();
         MD1 queue = std::move(created).take_or_throw();
         try {
-          // The dominant-pole root search behind both MGFs can fail to
+          // The dominant-pole root search behind the MGF can fail to
           // converge; surface that as a structured error.
           ErlangMixMgf paper = queue.paper_mgf();
-          ErlangMixMgf asym = queue.asymptotic_mgf();
-          return MD1Solution{std::move(queue), std::move(paper),
-                             std::move(asym)};
+          return MD1Solution{std::move(queue), std::move(paper)};
         } catch (const std::exception& ex) {
           const err::SolverError e{
               err::SolverErrorCode::kNonConvergence,

@@ -26,12 +26,11 @@
 
 namespace fpsq::queueing {
 
-/// An M/D/1 solution with its single-pole MGFs precomputed (the dominant
+/// An M/D/1 solution with its eq.-(14) MGF precomputed (the dominant
 /// pole is solved once instead of on every paper_mgf() call).
 struct MD1Solution {
   MD1 queue;
-  ErlangMixMgf paper;       ///< eq. (14): atom 1 - rho
-  ErlangMixMgf asymptotic;  ///< exact-asymptote variant
+  ErlangMixMgf paper;  ///< eq. (14): atom 1 - rho
 };
 
 class SolverCache {

@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "math/kahan.h"
-#include "math/quadrature.h"
+#include "math/special.h"
 #include "obs/metrics.h"
 #include "queueing/inversion.h"
 
@@ -24,32 +24,37 @@ constexpr double kExpUnderflow = 745.0;
 // finder carry tiny imaginary dust on nominally real roots).
 constexpr double kRealPoleTol = 1e-12;
 
-// Gauss-Legendre nodes per convolution sub-panel.
-constexpr int kGlNodes = 20;
+// Largest rounding amplification |zeta|^{-J} a pole's closed form may
+// carry; past it the pole takes the series form. 1e6 let 8e-9 tail
+// errors through on the check corpus.
+constexpr double kClosedFormGain = 1e3;
 
-// Geometric grading levels for the convolution mesh: the finest panel is
-// x / 2^kGlLevels, which resolves the fast transient of f_V near w = 0.
-constexpr int kGlLevels = 10;
+// A series pole's geometric tail zeta^{l-J} is cut once it falls below
+// this (relative to its coefficient).
+constexpr double kSeriesCut = 1e-17;
 
-/// Fold the (atom-free) Erlang mixture Y into the pole representation:
-/// Y(s) = sum_m w_m (beta/(beta - s))^m — a single pole at beta.
-ErlangMixMgf mixture_mgf(const ErlangMixture& y) {
-  ErlangMixMgf::PoleTerm term;
-  term.theta = Complex{y.beta(), 0.0};
-  term.coeff.reserve(y.weights().size());
-  for (double w : y.weights()) term.coeff.emplace_back(w, 0.0);
-  return ErlangMixMgf{0.0, {std::move(term)}};
-}
-
-/// Largest partial-fraction coefficient magnitude. The compiled tail sums
-/// terms of size up to this value down to O(epsilon), so max|c| * 1e-16
-/// bounds the absolute error of the closed form.
-double max_coeff_magnitude(const ErlangMixMgf& mgf) {
-  double m = 0.0;
-  for (const auto& t : mgf.terms()) {
-    for (const Complex& c : t.coeff) m = std::max(m, std::abs(c));
+/// sum_{l<n} c[l] P(Poisson(lambda) = l). The weights start at the mode
+/// in log space (so lambda far past the e^{-lambda} underflow still
+/// resolves) and recur outward until they underflow.
+double poisson_sum(const double* c, std::uint32_t n, double lambda) {
+  const double last = n - 1;
+  const auto mode =
+      static_cast<std::uint32_t>(lambda < last ? std::floor(lambda) : last);
+  const double p_mode =
+      mode == 0 ? std::exp(-lambda) : math::poisson_pmf(mode, lambda);
+  if (!(p_mode > 0.0)) return 0.0;
+  double acc = c[mode] * p_mode;
+  double p = p_mode;
+  for (std::uint32_t l = mode + 1; l < n && p > 0.0; ++l) {
+    p *= lambda / l;
+    acc += c[l] * p;
   }
-  return m;
+  p = p_mode;
+  for (std::uint32_t l = mode; l > 0 && p > 0.0; --l) {
+    p *= l / lambda;
+    acc += c[l - 1] * p;
+  }
+  return acc;
 }
 
 /// Horner evaluation of coeffs[0..n) (ascending powers) at x.
@@ -61,91 +66,123 @@ inline double horner(const double* coeffs, std::uint32_t n, double x) {
 
 }  // namespace
 
-TailKernel::TailKernel(const ErlangMixMgf& v) { compile(v); }
-
-TailKernel::TailKernel(const ErlangMixMgf& v, const Options& /*options*/) {
-  compile(v);
+TailKernel::TailKernel(const ErlangMixMgf& v) {
+  compile(v.constant_term(), v.terms());
 }
 
-TailKernel::TailKernel(const ErlangMixture& y) { compile(mixture_mgf(y)); }
-
-TailKernel::TailKernel(const ErlangMixture& y, const Options& /*options*/) {
-  compile(mixture_mgf(y));
+TailKernel::TailKernel(const ErlangMixture& y) {
+  const auto& w = y.weights();
+  compile(0.0, {{Complex{y.beta(), 0.0}, {w.begin(), w.end()}}});
+  mean_ = y.mean();
 }
 
-TailKernel::TailKernel(const ErlangMixMgf& v, const ErlangMixture& y)
-    : TailKernel(v, y, Options{}) {}
-
-TailKernel::TailKernel(const ErlangMixMgf& v, const ErlangMixture& y,
-                       const Options& options) {
-  // Closed form first: one Appendix-A product at construction removes the
-  // per-x convolution integral entirely. Rejected (pole clash or
-  // ill-conditioned expansion) -> compile V alone and fold Y in through
-  // cached Gauss-Legendre panels.
-  if (!options.force_quadrature) {
-    try {
-      ErlangMixMgf product = multiply(v, mixture_mgf(y));
-      if (max_coeff_magnitude(product) <= options.conditioning_limit) {
-        compile(product);
-        mean_ = v.mean() + y.mean();
-        bracket_scale_ = mean_ + 1.0 / y.beta();
-        FPSQ_OBS_COUNT("queueing.kernel.closed_form_hits");
-        return;
+TailKernel::TailKernel(const ErlangMixMgf& v, const ErlangMixture& y) {
+  // A simple pole theta = beta (1 - zeta) of V with coefficient c adds
+  //   c P(E_theta + Y > x) = c P(Y > x) + c sum_j w_j D_j(x),
+  //   D_j = zeta^{-j} e^{-theta x} - sum_{l<j} p_l zeta^{l-j}  (closed)
+  //       = sum_{l>=j} p_l zeta^{l-j}                         (series)
+  // with p_l = P(Poisson(beta x) = l) (docs/THEORY.md §1.1). Closed
+  // poles keep one exponential term; every p_l term, together with
+  // V(0) P(Y > x), collects into one real sequence h at beta.
+  const double beta = y.beta();
+  const std::vector<double>& w = y.weights();
+  const std::size_t big_j = w.size();
+  std::vector<double> h(big_j, 0.0);
+  std::vector<ErlangMixMgf::PoleTerm> closed;
+  std::vector<std::pair<Complex, Complex>> series;  // (zeta, c)
+  double max_series_zeta = 0.0;
+  double v_total = v.constant_term();  // V(0)
+  double v_mean = 0.0;
+  for (const auto& t : v.terms()) {
+    if (t.coeff.size() != 1) {
+      throw std::invalid_argument("TailKernel: V must have simple poles");
+    }
+    const Complex c = t.coeff.front();
+    v_total += c.real();
+    v_mean += (c / t.theta).real();
+    const Complex zeta = 1.0 - t.theta / beta;
+    const double mag = std::abs(zeta);
+    if (std::pow(mag, static_cast<double>(big_j)) * kClosedFormGain < 1.0) {
+      series.emplace_back(zeta, c);
+      max_series_zeta = std::max(max_series_zeta, mag);
+      continue;
+    }
+    // t_l = sum_{j>l} w_j zeta^{l-j}, backwards from t_J = 0.
+    Complex t_l{0.0, 0.0};
+    for (std::size_t l = big_j; l-- > 0;) {
+      t_l = (w[l] + t_l) / zeta;
+      h[l] -= (c * t_l).real();
+    }
+    closed.push_back({t.theta, {c * t_l}});
+  }
+  if (!series.empty()) {
+    // g_l = sum_{j<=min(l,J)} w_j zeta^{l-j} decays as zeta^{l-J} past J.
+    const double extra =
+        std::ceil(std::log(kSeriesCut) / std::log(max_series_zeta));
+    h.resize(big_j + 1 + static_cast<std::size_t>(extra), 0.0);
+    for (const auto& [zeta, c] : series) {
+      Complex g{0.0, 0.0};
+      for (std::size_t l = 1; l < h.size(); ++l) {
+        g = zeta * g + (l <= big_j ? w[l - 1] : 0.0);
+        h[l] += (c * g).real();
       }
-    } catch (const std::invalid_argument&) {
-      // Pole clash between V and beta: fall through to quadrature.
     }
   }
-  FPSQ_OBS_COUNT("queueing.kernel.quad_fallbacks");
-  compile(v);
-  fallback_ = true;
-  v_constant_ = v.constant_term();
-  y_ = y;
+  double y_tail = 0.0;  // sum_{j>l} w_j
+  for (std::size_t l = big_j; l-- > 0;) {
+    y_tail += w[l];
+    h[l] += v_total * y_tail;
+  }
+
+  compile(0.0, closed);
+  real_decay_.push_back(beta);
+  real_off_.push_back(static_cast<std::uint32_t>(real_tail_.size()));
+  real_len_.push_back(static_cast<std::uint32_t>(h.size()));
+  for (std::size_t l = 0; l < h.size(); ++l) {
+    const double next = l + 1 < h.size() ? h[l + 1] : 0.0;
+    real_tail_.push_back(h[l]);
+    real_dens_.push_back(beta * (h[l] - next));
+  }
   atom_ = 0.0;  // Y > 0 a.s., so V + Y has no mass at zero
-  mean_ = v.mean() + y.mean();
-  bracket_scale_ = mean_ + 1.0 / y.beta();
+  mean_ = v_mean + y.mean();
+  bracket_scale_ = mean_ + 1.0 / beta;
+  closed_form_ = series.empty();
+  FPSQ_OBS_COUNT("queueing.kernel.closed_form_hits");
+  if (!closed_form_) FPSQ_OBS_COUNT("queueing.kernel.series_kernels");
 }
 
-void TailKernel::compile(const ErlangMixMgf& mgf) {
-  atom_ = mgf.constant_term();
-  mean_ = mgf.mean();
+void TailKernel::compile(double constant,
+                         const std::vector<ErlangMixMgf::PoleTerm>& terms) {
+  atom_ = constant;
+  mean_ = 0.0;
 
   double min_decay = std::numeric_limits<double>::infinity();
   std::size_t unpaired_negative = 0;
 
-  for (const auto& t : mgf.terms()) {
+  for (const auto& t : terms) {
     const double a = t.theta.real();
     const double b = t.theta.imag();
-    const double mag = std::abs(t.theta);
     const std::size_t big_m = t.coeff.size();
     min_decay = std::min(min_decay, a);
-    max_decay_ = std::max(max_decay_, a);
-    max_freq_ = std::max(max_freq_, std::abs(b));
+    for (std::size_t l = 0; l < big_m; ++l) {
+      // E[Erlang(m, theta)] = m / theta.
+      mean_ += (t.coeff[l] / t.theta).real() * static_cast<double>(l + 1);
+    }
 
-    const bool is_real = std::abs(b) <= kRealPoleTol * mag;
+    const bool is_real = std::abs(b) <= kRealPoleTol * std::abs(t.theta);
     if (!is_real && b < 0.0) {
       // Conjugate partner of an Im > 0 pole: folded into that group.
       ++unpaired_negative;
       continue;
     }
 
-    // Tail polynomial: sum_m c_m e^{-theta x} sum_{l<m} (theta x)^l / l!
-    //   = e^{-theta x} sum_l q_l x^l,   q_l = (theta^l / l!) sum_{m>l} c_m.
-    // Density polynomial: sum_m c_m theta^m x^{m-1} e^{-theta x} / (m-1)!
-    //   = e^{-theta x} sum_l d_l x^l,   d_l = c_{l+1} theta^{l+1} / l!.
-    std::vector<Complex> suffix(big_m);  // suffix[l] = sum_{m > l} c_m
+    // Tail: sum_m c_m P(Erlang(m, theta) > x) = sum_l s_l p_l(theta x),
+    // s_l = sum_{m>l} c_m. Density: sum_l theta c_{l+1} p_l(theta x).
+    std::vector<Complex> suffix(big_m);
     Complex run{0.0, 0.0};
     for (std::size_t l = big_m; l-- > 0;) {
       run += t.coeff[l];
       suffix[l] = run;
-    }
-    std::vector<Complex> q(big_m);
-    std::vector<Complex> d(big_m);
-    Complex theta_pow{1.0, 0.0};  // theta^l / l!
-    for (std::size_t l = 0; l < big_m; ++l) {
-      q[l] = theta_pow * suffix[l];
-      d[l] = theta_pow * t.theta * t.coeff[l];
-      theta_pow *= t.theta / static_cast<double>(l + 1);
     }
 
     if (is_real) {
@@ -153,22 +190,28 @@ void TailKernel::compile(const ErlangMixMgf& mgf) {
       real_off_.push_back(static_cast<std::uint32_t>(real_tail_.size()));
       real_len_.push_back(static_cast<std::uint32_t>(big_m));
       for (std::size_t l = 0; l < big_m; ++l) {
-        real_tail_.push_back(q[l].real());
-        real_dens_.push_back(d[l].real());
+        real_tail_.push_back(suffix[l].real());
+        real_dens_.push_back((t.theta * t.coeff[l]).real());
       }
     } else {
       // Pair contribution (theta and conjugate, coefficients conjugate):
       //   2 Re(e^{-theta x} p(x)) =
-      //   e^{-a x} [cos(b x) 2 Re p(x) + sin(b x) 2 Im p(x)].
+      //   e^{-a x} [cos(b x) 2 Re p(x) + sin(b x) 2 Im p(x)],
+      // with tail polynomial q_l = (theta^l / l!) s_l and density
+      // polynomial d_l = (theta^{l+1} / l!) c_{l+1}.
       cplx_decay_.push_back(a);
       cplx_freq_.push_back(b);
       cplx_off_.push_back(static_cast<std::uint32_t>(cplx_tail_cos_.size()));
       cplx_len_.push_back(static_cast<std::uint32_t>(big_m));
+      Complex theta_pow{1.0, 0.0};  // theta^l / l!
       for (std::size_t l = 0; l < big_m; ++l) {
-        cplx_tail_cos_.push_back(2.0 * q[l].real());
-        cplx_tail_sin_.push_back(2.0 * q[l].imag());
-        cplx_dens_cos_.push_back(2.0 * d[l].real());
-        cplx_dens_sin_.push_back(2.0 * d[l].imag());
+        const Complex q = theta_pow * suffix[l];
+        const Complex d = theta_pow * t.theta * t.coeff[l];
+        cplx_tail_cos_.push_back(2.0 * q.real());
+        cplx_tail_sin_.push_back(2.0 * q.imag());
+        cplx_dens_cos_.push_back(2.0 * d.real());
+        cplx_dens_sin_.push_back(2.0 * d.imag());
+        theta_pow *= t.theta / static_cast<double>(l + 1);
       }
     }
   }
@@ -181,14 +224,14 @@ void TailKernel::compile(const ErlangMixMgf& mgf) {
       std::isfinite(min_decay) && min_decay > 0.0 ? 1.0 / min_decay : 1.0;
 }
 
-double TailKernel::compiled_tail(double x) const {
+double TailKernel::evaluate(double x, const std::vector<double>& real,
+                            const std::vector<double>& cplx_cos,
+                            const std::vector<double>& cplx_sin) const {
   math::KahanSum acc;
   const std::size_t nr = real_decay_.size();
   for (std::size_t g = 0; g < nr; ++g) {
-    const double ax = real_decay_[g] * x;
-    if (ax > kExpUnderflow) continue;
-    acc.add(std::exp(-ax) *
-            horner(real_tail_.data() + real_off_[g], real_len_[g], x));
+    acc.add(poisson_sum(real.data() + real_off_[g], real_len_[g],
+                        real_decay_[g] * x));
   }
   const std::size_t nc = cplx_decay_.size();
   for (std::size_t g = 0; g < nc; ++g) {
@@ -198,85 +241,8 @@ double TailKernel::compiled_tail(double x) const {
     const std::uint32_t off = cplx_off_[g];
     const std::uint32_t len = cplx_len_[g];
     acc.add(std::exp(-ax) *
-            (std::cos(bx) * horner(cplx_tail_cos_.data() + off, len, x) +
-             std::sin(bx) * horner(cplx_tail_sin_.data() + off, len, x)));
-  }
-  return acc.value();
-}
-
-double TailKernel::compiled_density(double x) const {
-  math::KahanSum acc;
-  const std::size_t nr = real_decay_.size();
-  for (std::size_t g = 0; g < nr; ++g) {
-    const double ax = real_decay_[g] * x;
-    if (ax > kExpUnderflow) continue;
-    acc.add(std::exp(-ax) *
-            horner(real_dens_.data() + real_off_[g], real_len_[g], x));
-  }
-  const std::size_t nc = cplx_decay_.size();
-  for (std::size_t g = 0; g < nc; ++g) {
-    const double ax = cplx_decay_[g] * x;
-    if (ax > kExpUnderflow) continue;
-    const double bx = cplx_freq_[g] * x;
-    const std::uint32_t off = cplx_off_[g];
-    const std::uint32_t len = cplx_len_[g];
-    acc.add(std::exp(-ax) *
-            (std::cos(bx) * horner(cplx_dens_cos_.data() + off, len, x) +
-             std::sin(bx) * horner(cplx_dens_sin_.data() + off, len, x)));
-  }
-  return acc.value();
-}
-
-double TailKernel::convolve_gl(double x, bool with_density) const {
-  // int_0^x f_V(w) g(x - w) dw with g = f_Y or P(Y > .). The mesh is
-  // geometric from 0 (f_V's transient lives at w ~ 1/max_decay_) and each
-  // panel is subdivided until neither V's oscillation nor the steepest
-  // decay rate outruns a 20-node rule.
-  const math::GaussLegendreRule& rule = math::gauss_legendre(kGlNodes);
-  const double rate =
-      std::max({max_freq_ / 2.5, max_decay_ / 15.0, y_->beta() / 15.0});
-  math::KahanSum acc;
-  double lo = 0.0;
-  for (int level = kGlLevels; level >= 0; --level) {
-    const double hi = level == 0 ? x : x * std::ldexp(1.0, -level);
-    const double width = hi - lo;
-    if (!(width > 0.0)) continue;
-    int pieces = 1;
-    if (rate > 0.0 && std::isfinite(rate)) {
-      pieces = std::clamp(static_cast<int>(std::ceil(width * rate)), 1, 64);
-    }
-    const double step = width / pieces;
-    for (int p = 0; p < pieces; ++p) {
-      const double mid = lo + (p + 0.5) * step;
-      const double half = 0.5 * step;
-      for (int i = 0; i < kGlNodes; ++i) {
-        const double w = mid + half * rule.nodes[i];
-        const double g =
-            with_density ? y_->density(x - w) : y_->tail(x - w);
-        acc.add(half * rule.weights[i] * compiled_density(w) * g);
-      }
-    }
-    lo = hi;
-  }
-  return acc.value();
-}
-
-double TailKernel::fallback_tail(double x) const {
-  // P(V + Y > x) = P(V > x) + c0_V P(Y > x) + int_0^x f_V P(Y > x - .).
-  math::KahanSum acc;
-  acc.add(compiled_tail(x));
-  acc.add(v_constant_ * y_->tail(x));
-  if (!real_decay_.empty() || !cplx_decay_.empty()) {
-    acc.add(convolve_gl(x, /*with_density=*/false));
-  }
-  return acc.value();
-}
-
-double TailKernel::fallback_density(double x) const {
-  math::KahanSum acc;
-  acc.add(v_constant_ * y_->density(x));
-  if (!real_decay_.empty() || !cplx_decay_.empty()) {
-    acc.add(convolve_gl(x, /*with_density=*/true));
+            (std::cos(bx) * horner(cplx_cos.data() + off, len, x) +
+             std::sin(bx) * horner(cplx_sin.data() + off, len, x)));
   }
   return acc.value();
 }
@@ -284,13 +250,13 @@ double TailKernel::fallback_density(double x) const {
 double TailKernel::tail(double x) const {
   if (x <= 0.0) return 1.0 - atom_;
   FPSQ_OBS_COUNT("queueing.kernel.tail_evals");
-  return fallback_ ? fallback_tail(x) : compiled_tail(x);
+  return evaluate(x, real_tail_, cplx_tail_cos_, cplx_tail_sin_);
 }
 
 double TailKernel::density(double x) const {
   if (x <= 0.0) return 0.0;
   FPSQ_OBS_COUNT("queueing.kernel.density_evals");
-  return fallback_ ? fallback_density(x) : compiled_density(x);
+  return evaluate(x, real_dens_, cplx_dens_cos_, cplx_dens_sin_);
 }
 
 void TailKernel::tail_many(std::span<const double> xs,
@@ -300,14 +266,11 @@ void TailKernel::tail_many(std::span<const double> xs,
   }
   FPSQ_OBS_COUNT_N("queueing.kernel.tail_evals",
                    static_cast<std::uint64_t>(xs.size()));
-  if (fallback_) {
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      out[i] = xs[i] <= 0.0 ? 1.0 - atom_ : fallback_tail(xs[i]);
-    }
-    return;
-  }
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    out[i] = xs[i] <= 0.0 ? 1.0 - atom_ : compiled_tail(xs[i]);
+    out[i] = xs[i] <= 0.0
+                 ? 1.0 - atom_
+                 : evaluate(xs[i], real_tail_, cplx_tail_cos_,
+                            cplx_tail_sin_);
   }
 }
 

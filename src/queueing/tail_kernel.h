@@ -4,33 +4,35 @@
 // The seed evaluated P(V + Y > x) through ErlangMixMgf::tail (a complex
 // recurrence over pole terms) plus an adaptive-Simpson convolution
 // integral, re-run at every bisection step of every quantile. This class
-// does the algebra once at construction and leaves only branch-free real
-// arithmetic in the hot path:
+// does the algebra once at construction and leaves only real arithmetic
+// in the hot path:
 //
-//  * the pole/coefficient lists are flattened into struct-of-arrays form,
-//    with each conjugate pole pair folded into one real group
+//  * the pole/coefficient lists are flattened into struct-of-arrays form.
+//    A real pole group at rate theta is the Poisson-weighted sum
+//        sum_l coef_l P(Poisson(theta x) = l),
+//    whose weights start at the mode in log space, so no theta^l / l! is
+//    ever formed and long groups (K up to 512) neither overflow nor lose
+//    the deep tail. Each conjugate pole pair folds into one real group
 //        e^{-a x} [cos(b x) * C(x) + sin(b x) * S(x)]
-//    (C, S real polynomials evaluated by Horner), so a tail evaluation is
-//    a contiguous sweep over plain double arrays;
-//  * the position delay Y is convolved in *closed form* (one Appendix-A
-//    partial-fraction product) whenever the expanded coefficients stay
-//    small enough to be trusted — the conditioning test bounds the
-//    absolute tail error by max|coeff| * machine-epsilon. Near pole
-//    clashes (the K = 20 low-load regime of queueing/convolution.h) the
-//    kernel falls back to fixed-node Gauss-Legendre panels on a graded
-//    mesh with cached nodes; the adaptive-quadrature path in
-//    queueing/convolution.h stays available as the reference oracle, and
-//    Options::force_quadrature pins a kernel to the fallback for tests;
+//    (C, S real polynomials evaluated by Horner);
+//  * the position delay Y = sum_j w_j Erlang(j, beta) is convolved
+//    exactly with the simple poles of V: each pole theta = beta (1 - zeta)
+//    contributes either one exponential term (closed form) or, when the
+//    closed form would amplify rounding by |zeta|^{-J}, a bounded series
+//    at beta. Everything at beta sums into one real Poisson group
+//    (docs/THEORY.md §1.1), so there is one exact path for every K and
+//    load; the adaptive-quadrature convolution in queueing/convolution.h
+//    stays the reference oracle;
 //  * quantiles run safeguarded Newton (analytic density as derivative)
 //    instead of 120-200 bisection steps.
 //
-// Obs metrics: queueing.kernel.{tail_evals, density_evals,
-// closed_form_hits, quad_fallbacks} count evaluations and construction
-// outcomes; queueing.kernel.newton_iters histograms the Newton solves.
+// Obs metrics: queueing.kernel.{tail_evals, density_evals} count
+// evaluations; queueing.kernel.closed_form_hits counts every (V, Y)
+// kernel and queueing.kernel.series_kernels the ones with series terms;
+// queueing.kernel.newton_iters histograms the Newton solves.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -41,30 +43,15 @@ namespace fpsq::queueing {
 
 class TailKernel {
  public:
-  struct Options {
-    /// Pin the convolved form to the Gauss-Legendre fallback even when
-    /// the closed-form product is well-conditioned (reference/testing).
-    bool force_quadrature = false;
-    /// Largest expanded-coefficient magnitude accepted for the
-    /// closed-form product; above it the absolute tail error
-    /// (~ max|coeff| * 1e-16 per term) could exceed ~1e-9.
-    double conditioning_limit = 1e6;
-  };
-
   /// Kernel over the law of V alone (atom + signed Erlang mixture MGF).
   explicit TailKernel(const ErlangMixMgf& v);
-  TailKernel(const ErlangMixMgf& v, const Options& options);
 
-  /// Kernel over the (atom-free) Erlang mixture Y alone. Always closed
-  /// form: the mixture is its own cancellation-free pole group.
+  /// Kernel over the (atom-free) Erlang mixture Y alone.
   explicit TailKernel(const ErlangMixture& y);
-  TailKernel(const ErlangMixture& y, const Options& options);
 
-  /// Kernel over V + Y (independent): closed-form product when the poles
-  /// are well separated, Gauss-Legendre convolution fallback otherwise.
+  /// Kernel over V + Y (independent), exact for every pole placement.
+  /// @throws std::invalid_argument when a pole of V is not simple
   TailKernel(const ErlangMixMgf& v, const ErlangMixture& y);
-  TailKernel(const ErlangMixMgf& v, const ErlangMixture& y,
-             const Options& options);
 
   // ---- hot-path queries --------------------------------------------------
 
@@ -87,27 +74,26 @@ class TailKernel {
   [[nodiscard]] double mean() const noexcept { return mean_; }
   /// P(X = 0) (the atom of the compiled law).
   [[nodiscard]] double atom() const noexcept { return atom_; }
-  /// True when the convolved form compiled to a closed-form pole set
-  /// (always true for the single-law constructors).
-  [[nodiscard]] bool closed_form() const noexcept { return !fallback_; }
+  /// True when no pole of V took the series form (always true for the
+  /// single-law constructors).
+  [[nodiscard]] bool closed_form() const noexcept { return closed_form_; }
   /// Number of compiled pole groups (real poles + conjugate pairs).
   [[nodiscard]] std::size_t group_count() const noexcept {
     return real_decay_.size() + cplx_decay_.size();
   }
 
  private:
-  void compile(const ErlangMixMgf& mgf);
-  [[nodiscard]] double compiled_tail(double x) const;
-  [[nodiscard]] double compiled_density(double x) const;
-  [[nodiscard]] double fallback_tail(double x) const;
-  [[nodiscard]] double fallback_density(double x) const;
-  /// Gauss-Legendre convolution integral int_0^x f_V(w) g(x - w) dw on a
-  /// graded panel mesh; `g` selects the Y tail or the Y density.
-  [[nodiscard]] double convolve_gl(double x, bool with_density) const;
+  void compile(double constant,
+               const std::vector<ErlangMixMgf::PoleTerm>& terms);
+  /// Sum over all groups with the given coefficient arrays (the tail or
+  /// the density set).
+  [[nodiscard]] double evaluate(double x, const std::vector<double>& real,
+                                const std::vector<double>& cplx_cos,
+                                const std::vector<double>& cplx_sin) const;
 
   // Real-pole groups (SoA): group g covers coefficients
-  // [offset[g], offset[g] + len[g]) of the flat arrays; tail polynomial
-  // and density polynomial share the layout.
+  // [offset[g], offset[g] + len[g]) of the flat arrays; tail and density
+  // coefficients share the layout.
   std::vector<double> real_decay_;
   std::vector<std::uint32_t> real_off_;
   std::vector<std::uint32_t> real_len_;
@@ -127,14 +113,7 @@ class TailKernel {
   double atom_ = 1.0;
   double mean_ = 0.0;
   double bracket_scale_ = 1.0;  ///< initial quantile bracket guess
-
-  // Quadrature-fallback state: the compiled arrays then hold V alone and
-  // the mixture Y is folded in numerically.
-  bool fallback_ = false;
-  double v_constant_ = 1.0;          ///< atom of V (fallback only)
-  std::optional<ErlangMixture> y_;   ///< position law (fallback only)
-  double max_decay_ = 0.0;           ///< mesh grading for the GL panels
-  double max_freq_ = 0.0;
+  bool closed_form_ = true;
 };
 
 }  // namespace fpsq::queueing

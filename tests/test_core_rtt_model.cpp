@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/validation.h"
+#include "queueing/convolution.h"
+#include "queueing/inversion.h"
 
 namespace fpsq::core {
 namespace {
@@ -139,16 +141,58 @@ TEST(RttModel, TotalTailMatchesFactoredMgfThroughChernoff) {
   EXPECT_GT(m.total_mgf_value(10.0), m.total_mgf_value(0.0));
 }
 
-TEST(RttModel, UpstreamVariantsShareDecayRate) {
-  const AccessScenario s = fig3_scenario(9);
-  const double n = s.clients_for_downlink_load(0.5);
-  const RttModel paper{s, n, UpstreamVariant::kPaperEq14};
-  const RttModel asym{s, n, UpstreamVariant::kAsymptotic};
-  EXPECT_NEAR(paper.upstream_mgf().dominant_pole().real(),
-              asym.upstream_mgf().dominant_pole().real(), 1.0);
-  // Asymptotic variant has the (slightly) heavier tail constant.
-  EXPECT_GE(asym.upstream_mgf().tail(1e-3),
-            paper.upstream_mgf().tail(1e-3));
+TEST(RttModel, LargeKKernelsMatchOracleAndExceedTheMean) {
+  // Paper defaults at K far past where an expanded partial-fraction
+  // product overflows (beta^K): both kernels must stay exact and the
+  // 99.999% RTT must sit above the mean RTT.
+  for (int k : {96, 128}) {
+    for (double rho : {0.3, 0.6}) {
+      AccessScenario s;
+      s.erlang_k = k;
+      const RttModel m{s, s.clients_for_downlink_load(rho)};
+      const auto& pos = m.position_mixture();
+      const double x_total = m.total_kernel()->mean();
+      EXPECT_NEAR(m.total_kernel()->tail(x_total),
+                  queueing::convolved_tail(m.upstream_burst_mgf(), pos,
+                                           x_total),
+                  1e-9)
+          << "K=" << k << " rho=" << rho;
+      const double x_down = m.downstream_kernel()->mean();
+      const double down_oracle =
+          m.burst_wait_dropped()
+              ? pos.tail(x_down)
+              : queueing::convolved_tail(m.burst_wait_mgf(), pos, x_down);
+      EXPECT_NEAR(m.downstream_kernel()->tail(x_down), down_oracle, 1e-9)
+          << "K=" << k << " rho=" << rho;
+      EXPECT_GT(m.rtt_quantile_ms(1e-5), m.rtt_mean_ms())
+          << "K=" << k << " rho=" << rho;
+    }
+  }
+}
+
+TEST(RttModel, TotalQuantileNewtonStopsAtTheRoot) {
+  // Paper defaults, K = 32, rho_d = 0.07: a Newton step lands within
+  // rounding of the bracket end just set. Accepting that iterate ends
+  // the solve; rejecting it used to bisect from the stale far end for
+  // ~60 more tail and density evaluations.
+  AccessScenario s;
+  s.erlang_k = 32;
+  const RttModel m{s, s.clients_for_downlink_load(0.07)};
+  const queueing::TailKernel& kern = *m.total_kernel();
+  int evals = 0;
+  const double q = queueing::invert_tail_newton(
+      [&](double x) {
+        ++evals;
+        return kern.tail(x);
+      },
+      [&](double x) {
+        ++evals;
+        return kern.density(x);
+      },
+      1e-5, kern.mean() + 1.0 / m.position_mixture().beta(),
+      "test.kernel");
+  EXPECT_EQ(q, kern.quantile(1e-5));
+  EXPECT_LE(evals, 16);
 }
 
 TEST(RttModel, MeanRttAboveDeterministic) {

@@ -52,7 +52,6 @@ bool points_identical(const core::RttSweepPoint& a,
          a.rho_down == b.rho_down &&
          a.rtt_quantile_ms == b.rtt_quantile_ms &&
          a.rtt_mean_ms == b.rtt_mean_ms &&
-         a.downstream_quantile_ms == b.downstream_quantile_ms &&
          a.failed == b.failed && a.fallback_bound == b.fallback_bound &&
          a.error == b.error && a.error_detail == b.error_detail;
 }
@@ -127,7 +126,6 @@ TEST_F(ErrDegradationTest, SweepMarksPointPastStabilityFailed) {
   EXPECT_DOUBLE_EQ(points[1].n_clients, unstable);
   EXPECT_EQ(points[1].rtt_quantile_ms, 0.0);
   EXPECT_EQ(points[1].rtt_mean_ms, 0.0);
-  EXPECT_EQ(points[1].downstream_quantile_ms, 0.0);
 
   core::RttSweepSpec neighbours = spec;
   neighbours.n_values = {spec.n_values[0], spec.n_values[2]};

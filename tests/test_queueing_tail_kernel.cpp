@@ -15,7 +15,8 @@ namespace {
 
 // The paper's operating range: burst sizes K in {2, 9, 20} crossed with
 // downstream loads from nearly idle to nearly saturated. K = 20 at low
-// load is the pole-clash regime that must take the quadrature fallback.
+// load is the pole-clash regime where the D/E_K/1 poles take the series
+// form.
 const int kBurstSizes[] = {2, 9, 20};
 const double kLoads[] = {0.05, 0.3, 0.5, 0.7, 0.95};
 
@@ -63,10 +64,11 @@ TEST(TailKernel, MatchesErlangMixtureTail) {
 }
 
 TEST(TailKernel, ConvolvedMatchesQuadratureOracle) {
-  // Kernel vs the adaptive-quadrature reference across the full grid —
-  // including the ill-conditioned corner that forces the GL fallback.
-  for (int k : kBurstSizes) {
-    for (double rho : kLoads) {
+  // Kernel vs the adaptive-quadrature reference across a grid that puts
+  // poles on both sides of the closed/series switch, including the
+  // corners where an expanded partial-fraction product loses 1e-9.
+  for (int k : {2, 9, 12, 16, 20, 32, 64}) {
+    for (double rho : {0.05, 0.3, 0.5, 0.6, 0.7, 0.85, 0.95}) {
       const DEk1Solver w{k, rho, 1.0};
       if (w.degenerate()) continue;
       const auto y = position_delay_uniform_mixture(k, w.beta());
@@ -85,10 +87,10 @@ TEST(TailKernel, ConvolvedMatchesQuadratureOracle) {
   }
 }
 
-TEST(TailKernel, PoleClashRegimeTakesFallbackAndStaysAccurate) {
+TEST(TailKernel, PoleClashRegimeTakesSeriesAndStaysAccurate) {
   // K = 20 at rho_d = 0.3: expanded partial fractions blow up to ~1e24
-  // with catastrophic cancellation, so the kernel must reject the closed
-  // form yet still match the adaptive oracle.
+  // with catastrophic cancellation, so the poles must take the series
+  // form and still match the adaptive oracle.
   const int k = 20;
   const DEk1Solver w{k, 0.3, 1.0};
   ASSERT_FALSE(w.degenerate());
@@ -101,25 +103,6 @@ TEST(TailKernel, PoleClashRegimeTakesFallbackAndStaysAccurate) {
     EXPECT_NEAR(kern.tail(x), oracle, 1e-9) << "x=" << x;
     EXPECT_LE(kern.tail(x), prev + 1e-9) << "x=" << x;
     prev = kern.tail(x);
-  }
-}
-
-TEST(TailKernel, ForcedQuadratureMatchesClosedForm) {
-  // A well-conditioned case evaluated both ways: the GL fallback must
-  // agree with the closed-form product to oracle accuracy.
-  const DEk1Solver w{9, 0.6, 1.0};
-  const auto y = position_delay_uniform_mixture(9, w.beta());
-  const TailKernel closed{w.waiting_mgf(), y};
-  ASSERT_TRUE(closed.closed_form());
-  TailKernel::Options opts;
-  opts.force_quadrature = true;
-  const TailKernel quad{w.waiting_mgf(), y, opts};
-  EXPECT_FALSE(quad.closed_form());
-  for (double x : probe_points(closed.mean())) {
-    EXPECT_NEAR(quad.tail(x), closed.tail(x), 1e-9) << "x=" << x;
-    EXPECT_NEAR(quad.density(x), closed.density(x),
-                1e-9 * (1.0 + closed.density(x)))
-        << "x=" << x;
   }
 }
 
@@ -139,7 +122,7 @@ TEST(TailKernel, QuantileRoundTripsThroughTail) {
   }
 }
 
-TEST(TailKernel, QuantileRoundTripsOnFallbackPath) {
+TEST(TailKernel, QuantileRoundTripsOnSeriesPath) {
   const DEk1Solver w{20, 0.3, 1.0};
   const auto y = position_delay_uniform_mixture(20, w.beta());
   const TailKernel kern{w.waiting_mgf(), y};
