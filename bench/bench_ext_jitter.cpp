@@ -3,14 +3,12 @@
 // trace: tick CoV 0.07). Two referees per jitter level:
 //  * the packet-level simulation with Gamma-jittered ticks;
 //  * the *exact* GI/E_K/1 generalization (queueing/giek1.h) with the
-//    same Gamma interarrival law.
+//    same Gamma interarrival law, evaluated through core::RttModel with
+//    tick_jitter_cov set — what `fpsq rtt --jitter` runs.
 #include <cstdio>
 
 #include "bench_util.h"
 #include "core/rtt_model.h"
-#include "queueing/convolution.h"
-#include "queueing/giek1.h"
-#include "queueing/position_delay.h"
 #include "sim/gaming_scenario.h"
 
 int main() {
@@ -24,16 +22,17 @@ int main() {
   s.tick_ms = 40.0;
   s.erlang_k = 9;
   const int n = static_cast<int>(s.clients_for_downlink_load(0.6));
-  const core::RttModel det_model{s, static_cast<double>(n)};
   const double own_ser_ms =
       8.0 * s.server_packet_bytes / s.bottleneck_bps * 1e3;
-  const double det_q = det_model.downstream_quantile_ms(1e-3) + own_ser_ms;
-
-  // GI/E_K/1 pieces shared across jitter levels.
-  const double tick_s = s.tick_ms * 1e-3;
-  const double service_s = 0.6 * tick_s;  // rho_d * T
-  const auto position = queueing::position_delay_uniform_mixture(
-      s.erlang_k, s.erlang_k / service_s);
+  // 99.9% downstream delay of the model at tick CoV `cov` (0 = the
+  // paper's deterministic ticks).
+  const auto model_q_ms = [&s, n, own_ser_ms](double cov) {
+    core::AccessScenario jittered = s;
+    jittered.tick_jitter_cov = cov;
+    const core::RttModel model{jittered, static_cast<double>(n)};
+    return model.downstream_quantile_ms(1e-3) + own_ser_ms;
+  };
+  const double det_q = model_q_ms(0.0);
 
   sim::GamingScenarioConfig cfg;
   cfg.n_clients = n;
@@ -47,18 +46,7 @@ int main() {
   std::printf("%10s %18s %18s %12s\n", "tick CoV", "GI/E_K/1 [ms]",
               "simulated [ms]", "sim/exact");
   for (double cov : {0.0, 0.03, 0.07, 0.15, 0.3, 0.5}) {
-    double model_q;
-    if (cov == 0.0) {
-      model_q = det_q;
-    } else {
-      const queueing::GiEk1Solver w{
-          s.erlang_k, service_s,
-          queueing::gamma_arrivals_mean_cov(tick_s, cov)};
-      model_q = queueing::convolved_quantile(w.waiting_mgf(), position,
-                                             1e-3) *
-                    1e3 +
-                own_ser_ms;
-    }
+    const double model_q = model_q_ms(cov);
     cfg.tick_jitter_cov = cov;
     const auto r = sim::run_gaming_scenario(cfg);
     const double sim_q = r.downstream_delay.exact_quantile(0.999) * 1e3;

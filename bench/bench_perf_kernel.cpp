@@ -31,7 +31,7 @@
 #include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "queueing/convolution.h"
-#include "queueing/dek1.h"
+#include "queueing/giek1.h"
 #include "queueing/position_delay.h"
 #include "queueing/solver_cache.h"
 #include "queueing/tail_kernel.h"
@@ -99,7 +99,8 @@ int main() {
               "kernel");
   for (int k : ks) {
     for (double rho : loads) {
-      const queueing::DEk1Solver w{k, rho, 1.0};
+      const queueing::GiEk1Solver w{k, rho,
+                                    queueing::deterministic_arrivals(1.0)};
       if (w.degenerate()) continue;
       const auto y =
           queueing::position_delay_uniform_mixture(k, w.beta());

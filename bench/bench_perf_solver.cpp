@@ -5,7 +5,6 @@
 
 #include "core/rtt_model.h"
 #include "queueing/convolution.h"
-#include "queueing/dek1.h"
 #include "queueing/giek1.h"
 #include "queueing/mg1.h"
 #include "queueing/mg1_erlang_service.h"
@@ -18,15 +17,17 @@ using namespace fpsq::queueing;
 
 void BM_DEk1Solve(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
+  const auto arrivals = deterministic_arrivals(1.0);
   for (auto _ : state) {
-    DEk1Solver q{k, 0.6, 1.0};
+    GiEk1Solver q{k, 0.6, arrivals};
     benchmark::DoNotOptimize(q.p_wait_zero());
   }
 }
 BENCHMARK(BM_DEk1Solve)->Arg(2)->Arg(9)->Arg(20)->Arg(40);
 
 void BM_DEk1TailEval(benchmark::State& state) {
-  const DEk1Solver q{static_cast<int>(state.range(0)), 0.6, 1.0};
+  const GiEk1Solver q{static_cast<int>(state.range(0)), 0.6,
+                      deterministic_arrivals(1.0)};
   double x = 0.1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(q.wait_tail(x));
@@ -47,7 +48,7 @@ BENCHMARK(BM_MixProduct)->Arg(2)->Arg(8)->Arg(19);
 
 void BM_ConvolvedTail(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
-  const DEk1Solver w{k, 0.6, 1.0};
+  const GiEk1Solver w{k, 0.6, deterministic_arrivals(1.0)};
   const auto y = position_delay_uniform_mixture(k, w.beta());
   double x = 0.3;
   for (auto _ : state) {
@@ -59,7 +60,7 @@ BENCHMARK(BM_ConvolvedTail)->Arg(9)->Arg(20);
 
 void BM_ConvolvedQuantile(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
-  const DEk1Solver w{k, 0.6, 1.0};
+  const GiEk1Solver w{k, 0.6, deterministic_arrivals(1.0)};
   const auto y = position_delay_uniform_mixture(k, w.beta());
   for (auto _ : state) {
     benchmark::DoNotOptimize(

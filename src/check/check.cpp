@@ -10,7 +10,7 @@
 #include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "queueing/convolution.h"
-#include "queueing/dek1.h"
+#include "queueing/giek1.h"
 #include "queueing/tail_kernel.h"
 #include "serve/engine.h"
 #include "serve/request.h"
@@ -155,15 +155,18 @@ class PointChecker {
     out_.mismatches.push_back(std::move(m));
   }
 
-  /// D/E_K/1 law paths: compiled TailKernel vs the direct pole-sum
-  /// tails, plus inversion round trips (including the rho -> 0 atom
-  /// regime where every quantile must be exactly 0).
+  /// Burst-wait law paths on the point's own tick law (D/E_K/1, or
+  /// GI/E_K/1 when ticks jitter, as core::RttModel builds it): compiled
+  /// TailKernel vs the direct pole-sum tails, plus inversion round trips
+  /// (including the rho -> 0 atom regime where every quantile must be
+  /// exactly 0).
   void check_law() {
     const double period_s = p_.scenario.tick_ms * 1e-3;
-    auto law = queueing::DEk1Solver::create(
-        p_.scenario.erlang_k, p_.rho_down * period_s, period_s);
+    auto law = queueing::GiEk1Solver::create(p_.scenario.erlang_k,
+                                             p_.rho_down * period_s,
+                                             core::tick_arrivals(p_.scenario));
     if (!law) {
-      solver_gate(law.error(), "dek1_law");
+      solver_gate(law.error(), "burst_wait_law");
       return;
     }
     const auto& mgf = law.value().waiting_mgf();

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "queueing/chernoff.h"
-#include "queueing/convolution.h"
 #include "queueing/solver_cache.h"
 
 namespace fpsq::core {
@@ -36,6 +35,14 @@ Complex decollide(Complex pole, const ErlangMixMgf& reference) {
 }
 
 }  // namespace
+
+queueing::ArrivalTransform tick_arrivals(const AccessScenario& scenario) {
+  const double tick_s = scenario.tick_ms * 1e-3;
+  return scenario.tick_jitter_cov > 0.0
+             ? queueing::gamma_arrivals_mean_cov(tick_s,
+                                                 scenario.tick_jitter_cov)
+             : queueing::deterministic_arrivals(tick_s);
+}
 
 err::Result<RttModel> RttModel::create(const AccessScenario& scenario,
                                        double n_clients) {
@@ -83,40 +90,29 @@ std::optional<err::SolverError> RttModel::init(
                 "RttModel: unstable load (rho >= 1)");
   }
 
-  const double tick_s = scenario_.tick_ms * 1e-3;
-
-  // Downstream: burst service time Erlang(K, beta), b = N P_S 8 / C.
-  // Deterministic ticks use the paper's D/E_K/1; jittered ticks the
-  // GI/E_K/1 generalization with Gamma interarrivals (both produce the
-  // same atom + simple-pole MGF shape, and coincide at zero jitter).
+  // Downstream: burst service time Erlang(K, beta), b = N P_S 8 / C,
+  // behind the tick law's burst arrivals (the paper's D/E_K/1 for
+  // deterministic ticks, GI/E_K/1 with Gamma interarrivals for jittered
+  // ones).
   const double mean_burst_service_s =
       8.0 * n_ * scenario_.server_packet_bytes / scenario_.bottleneck_bps;
   auto& cache = queueing::SolverCache::global();
-  if (scenario_.tick_jitter_cov > 0.0) {
-    auto solved = cache.giek1_result(
-        scenario_.erlang_k, mean_burst_service_s,
-        queueing::gamma_arrivals_mean_cov(tick_s,
-                                          scenario_.tick_jitter_cov));
-    if (!solved.ok()) return solved.error();
-    jittered_ = std::move(solved).take_or_throw();
-  } else {
-    auto solved = cache.dek1_result(scenario_.erlang_k,
-                                    mean_burst_service_s, tick_s);
-    if (!solved.ok()) return solved.error();
-    downstream_ = std::move(solved).take_or_throw();
-  }
+  auto solved = cache.giek1_result(scenario_.erlang_k, mean_burst_service_s,
+                                   tick_arrivals(scenario_));
+  if (!solved.ok()) return solved.error();
+  downstream_ = std::move(solved).take_or_throw();
   const double beta = scenario_.erlang_k / mean_burst_service_s;
   position_ = std::make_unique<queueing::ErlangMixture>(
       queueing::position_delay_uniform_mixture(scenario_.erlang_k, beta));
 
   // Upstream: Poisson limit of N periodic sources (Section 3.1).
-  const double lambda_up = n_ / tick_s;
+  const double lambda_up = n_ / (scenario_.tick_ms * 1e-3);
   const double service_up =
       8.0 * scenario_.client_packet_bytes / scenario_.bottleneck_bps;
   auto md1 = cache.md1_result(lambda_up, service_up);
   if (!md1.ok()) return md1.error();
   ErlangMixMgf up = std::move(md1).take_or_throw()->paper;
-  // Keep the upstream pole clear of the D/E_K/1 pole set before the
+  // Keep the upstream pole clear of the burst-wait pole set before the
   // simple-pole product below.
   if (!up.terms().empty()) {
     const double atom = up.constant_term();
@@ -130,7 +126,7 @@ std::optional<err::SolverError> RttModel::init(
   // Combine the simple-pole factors: D_u(s) W(s). Drop W when it is
   // numerically a point mass at zero (and its poles have collapsed onto
   // beta — the low-load regime).
-  burst_dropped_ = wait_p0() > 1.0 - 1e-12;
+  burst_dropped_ = downstream_->p_wait_zero() > 1.0 - 1e-12;
   if (burst_dropped_) {
     upw_ = upstream_;
   } else {
@@ -159,49 +155,6 @@ std::optional<err::SolverError> RttModel::init(
                 std::string("RttModel tail kernel: ") + ex.what());
   }
   return std::nullopt;
-}
-
-const queueing::DEk1Solver& RttModel::downstream_solver() const {
-  if (!downstream_) {
-    throw std::logic_error(
-        "RttModel::downstream_solver: ticks are jittered; use "
-        "jittered_solver()");
-  }
-  return *downstream_;
-}
-
-const queueing::GiEk1Solver& RttModel::jittered_solver() const {
-  if (!jittered_) {
-    throw std::logic_error(
-        "RttModel::jittered_solver: ticks are deterministic; use "
-        "downstream_solver()");
-  }
-  return *jittered_;
-}
-
-const queueing::ErlangMixMgf& RttModel::burst_wait_mgf() const {
-  return downstream_ ? downstream_->waiting_mgf()
-                     : jittered_->waiting_mgf();
-}
-
-double RttModel::wait_p0() const {
-  return downstream_ ? downstream_->p_wait_zero()
-                     : jittered_->p_wait_zero();
-}
-
-double RttModel::wait_dominant_pole() const {
-  return downstream_ ? downstream_->dominant_pole()
-                     : jittered_->waiting_mgf().dominant_pole().real();
-}
-
-queueing::Complex RttModel::wait_first_weight() const {
-  return downstream_ ? downstream_->weights().front()
-                     : jittered_->weights().front();
-}
-
-double RttModel::wait_quantile(double epsilon) const {
-  return downstream_ ? downstream_->wait_quantile(epsilon)
-                     : jittered_->wait_quantile(epsilon);
 }
 
 double RttModel::total_mgf_value(double s) const {
@@ -244,12 +197,12 @@ double RttModel::stochastic_quantile_ms(double epsilon,
               : upstream_.terms().front().theta.real();
       const double alpha1 =
           burst_dropped_ ? std::numeric_limits<double>::infinity()
-                         : wait_dominant_pole();
+                         : burst_wait_mgf().dominant_pole().real();
       if (alpha1 <= beta && alpha1 <= up_pole) {
         // Simple real pole alpha_1 of W: residue of the product there is
         // a_1 * D_u(alpha_1) * P(alpha_1) (all factored evaluations).
         const Complex a1{alpha1, 0.0};
-        const Complex w1 = wait_first_weight();
+        const Complex w1 = downstream_->weights().front();
         residue = (w1 * upstream_.value(a1) * position_->mgf(a1)).real();
         delta = alpha1;
       } else if (up_pole <= beta) {
@@ -287,7 +240,7 @@ double RttModel::stochastic_quantile_ms(double epsilon,
             std::min(s_max, upstream_.terms().front().theta.real());
       }
       if (!burst_dropped_) {
-        s_max = std::min(s_max, wait_dominant_pole());
+        s_max = std::min(s_max, burst_wait_mgf().dominant_pole().real());
       }
       return queueing::chernoff_quantile_fn(
                  [this](double s) { return total_mgf_value(s); }, s_max,
@@ -298,7 +251,7 @@ double RttModel::stochastic_quantile_ms(double epsilon,
       double acc =
           upstream_.quantile(epsilon) + position_->quantile(epsilon);
       if (!burst_dropped_) {
-        acc += wait_quantile(epsilon);
+        acc += downstream_->wait_quantile(epsilon);
       }
       return acc * 1e3;
     }
@@ -313,8 +266,7 @@ double RttModel::rtt_quantile_ms(double epsilon,
 }
 
 double RttModel::rtt_mean_ms() const {
-  return scenario_.deterministic_rtt_ms() +
-         queueing::convolved_mean(upw_, *position_) * 1e3;
+  return scenario_.deterministic_rtt_ms() + total_kernel_->mean() * 1e3;
 }
 
 RttModel::Breakdown RttModel::breakdown_ms(double epsilon) const {
@@ -322,7 +274,7 @@ RttModel::Breakdown RttModel::breakdown_ms(double epsilon) const {
   b.deterministic_ms = scenario_.deterministic_rtt_ms();
   b.upstream_ms = upstream_.quantile(epsilon) * 1e3;
   b.burst_ms =
-      burst_dropped_ ? 0.0 : wait_quantile(epsilon) * 1e3;
+      burst_dropped_ ? 0.0 : downstream_->wait_quantile(epsilon) * 1e3;
   b.position_ms = position_->quantile(epsilon) * 1e3;
   b.total_ms = rtt_quantile_ms(epsilon);
   return b;

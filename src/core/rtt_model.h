@@ -1,5 +1,6 @@
 // The paper's RTT methodology (Section 3.3 + Section 4): combine the
-// upstream M/D/1 delay, the downstream D/E_K/1 burst delay and the
+// upstream M/D/1 delay, the downstream D/E_K/1 burst delay (GI/E_K/1
+// with Gamma interarrivals when ticks jitter) and the
 // packet-position delay into one law, evaluate its tail, and add the
 // deterministic serialization/propagation component.
 //
@@ -15,7 +16,6 @@
 
 #include "core/scenario.h"
 #include "err/error.h"
-#include "queueing/dek1.h"
 #include "queueing/erlang_mix.h"
 #include "queueing/giek1.h"
 #include "queueing/mg1.h"
@@ -31,6 +31,12 @@ enum class CombinationMethod {
   kChernoff,        ///< bound of eq. (36)
   kSumOfQuantiles,  ///< sum of the three individual quantiles
 };
+
+/// The burst-arrival law of the scenario's server ticks: deterministic
+/// every tick_ms (the paper's D/E_K/1), or Gamma with CoV
+/// tick_jitter_cov when that is positive.
+[[nodiscard]] queueing::ArrivalTransform tick_arrivals(
+    const AccessScenario& scenario);
 
 class RttModel {
  public:
@@ -67,16 +73,17 @@ class RttModel {
   [[nodiscard]] const queueing::ErlangMixMgf& upstream_mgf() const noexcept {
     return upstream_;
   }
-  /// The paper's exact D/E_K/1 solver. Only available for deterministic
-  /// ticks (scenario.tick_jitter_cov == 0); with jitter the model runs on
-  /// the GI/E_K/1 generalization instead (see jittered_solver()).
-  /// @throws std::logic_error when ticks are jittered
-  [[nodiscard]] const queueing::DEk1Solver& downstream_solver() const;
-  /// The GI/E_K/1 solver backing a jittered-tick model.
-  /// @throws std::logic_error when ticks are deterministic
-  [[nodiscard]] const queueing::GiEk1Solver& jittered_solver() const;
-  /// The burst-wait MGF, whichever solver produced it.
-  [[nodiscard]] const queueing::ErlangMixMgf& burst_wait_mgf() const;
+  /// The burst-wait solver, on the arrival law tick_arrivals(scenario())
+  /// (D/E_K/1 for deterministic ticks, GI/E_K/1 for jittered ones).
+  [[nodiscard]] const queueing::GiEk1Solver& downstream_solver()
+      const noexcept {
+    return *downstream_;
+  }
+  /// The burst-wait MGF W(s).
+  [[nodiscard]] const queueing::ErlangMixMgf& burst_wait_mgf()
+      const noexcept {
+    return downstream_->waiting_mgf();
+  }
   [[nodiscard]] const queueing::ErlangMixture& position_mixture()
       const noexcept {
     return *position_;
@@ -157,8 +164,7 @@ class RttModel {
   queueing::ErlangMixMgf upstream_;
   // Shared with queueing::SolverCache (the solvers are immutable after
   // construction, so sharing is safe).
-  std::shared_ptr<const queueing::DEk1Solver> downstream_;  ///< det ticks
-  std::shared_ptr<const queueing::GiEk1Solver> jittered_;   ///< jittered
+  std::shared_ptr<const queueing::GiEk1Solver> downstream_;
   std::unique_ptr<queueing::ErlangMixture> position_;
   queueing::ErlangMixMgf upw_;  ///< D_u * W (or D_u alone if W dropped)
   // Compiled once in init(); every tail and quantile query below then
@@ -166,12 +172,6 @@ class RttModel {
   // point.
   std::unique_ptr<const queueing::TailKernel> total_kernel_;
   std::unique_ptr<const queueing::TailKernel> downstream_kernel_;
-
-  // Solver-agnostic views of the burst wait.
-  [[nodiscard]] double wait_p0() const;
-  [[nodiscard]] double wait_dominant_pole() const;
-  [[nodiscard]] queueing::Complex wait_first_weight() const;
-  [[nodiscard]] double wait_quantile(double epsilon) const;
 };
 
 }  // namespace fpsq::core

@@ -1,6 +1,6 @@
 // fpsq::err — structured error taxonomy for the solver and sweep stack.
 //
-// The transform-domain solvers (queueing::{DEk1Solver, GiEk1Solver, MG1,
+// The transform-domain solvers (queueing::{GiEk1Solver, MG1,
 // MD1}) can fail in a handful of well-understood ways: the zeta
 // fixed-point search exhausts its budget, the offered load is at or
 // above 1, MGF poles collide so the partial-fraction algebra refuses, or
@@ -12,7 +12,7 @@
 // This header gives failures a value representation:
 //   * SolverErrorCode / SolverError — the taxonomy plus context;
 //   * Result<T> — value-or-error return for the solver factories
-//     (DEk1Solver::create and friends) and the batch drivers;
+//     (GiEk1Solver::create and friends) and the batch drivers;
 //   * SolverFailure / throw_solver_error — the bridge back to the
 //     throwing API kept for compatibility (kBadParameters and kUnstable
 //     map to std::invalid_argument exactly as the old constructors threw;

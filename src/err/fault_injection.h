@@ -5,8 +5,8 @@
 // A fault is (site, code, tag range). Sites are the solver call sites
 // that consult fault_check() from their create() factories:
 //
-//     queueing.dek1    tag = rho (b / T)
-//     queueing.giek1   tag = rho (b / E[A])
+//     queueing.dek1    tag = rho (b / T); GiEk1Solver on deterministic ticks
+//     queueing.giek1   tag = rho (b / E[A]); GiEk1Solver on any other law
 //     queueing.mg1     tag = rho (lambda * d; shared by MD1)
 //
 // When a fault is armed for a site and the tag falls inside [lo, hi],

@@ -18,7 +18,6 @@
 #include "queueing/bounds.h"
 #include "queueing/chernoff.h"
 #include "queueing/convolution.h"
-#include "queueing/dek1.h"
 #include "queueing/erlang_mix.h"
 #include "queueing/giek1.h"
 #include "queueing/lindley.h"

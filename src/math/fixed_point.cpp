@@ -19,8 +19,12 @@ ComplexRootResult solve_fixed_point_impl(
   // residual is small — or once Picard has had a fair number of steps,
   // which rescues the near-saturation regime (contraction factor ~ rho
   // close to 1) where Picard alone would need millions of iterations.
+  // There is one Newton phase: if it misses `tol` (an unreachable
+  // tolerance, a degenerate derivative), the solve ends unconverged
+  // instead of re-entering Newton on every remaining outer iteration.
   const double newton_cutover = 1e-6;
   constexpr int kPicardBudget = 200;
+  constexpr int kNewtonBudget = 60;
   for (int i = 0; i < max_iter; ++i) {
     const Complex fz = F(z);
     const double res = std::abs(fz - z);
@@ -32,25 +36,24 @@ ComplexRootResult solve_fixed_point_impl(
       return r;
     }
     if (dF && (res < newton_cutover || i >= kPicardBudget)) {
-      // Newton on G(z) = F(z) − z:  z <- z − (F(z) − z)/(F'(z) − 1)
-      for (int j = 0; j < 60; ++j) {
+      // Newton on G(z) = F(z) − z:  z <- z − (F(z) − z)/(F'(z) − 1);
+      // each step counts as an iteration.
+      for (int j = 0; j < kNewtonBudget; ++j) {
         const Complex g = F(z) - z;
         if (std::abs(g) < tol) {
           r.root = z;
           r.residual = std::abs(g);
-          r.iterations += j;
           r.converged = true;
           return r;
         }
         const Complex dg = dF(z) - Complex{1.0, 0.0};
-        if (std::abs(dg) == 0.0) {
-          break;  // degenerate derivative; fall back to Picard
-        }
+        if (std::abs(dg) == 0.0) break;  // degenerate derivative
         z -= g / dg;
+        ++r.iterations;
       }
-    } else {
-      z = fz;
+      break;
     }
+    z = fz;
   }
   r.root = z;
   r.residual = std::abs(F(z) - z);

@@ -20,7 +20,10 @@ struct ComplexRootResult {
 };
 
 /// Iterates z <- F(z) from z0 until |F(z) − z| < tol, then (optionally)
-/// polishes with Newton on G(z) = F(z) − z using dF.
+/// polishes with Newton on G(z) = F(z) − z using dF. Newton starts once
+/// the residual is below 1e-6 or after 200 Picard steps, and runs one
+/// phase of at most 60 steps: a phase that misses `tol` returns
+/// converged == false. `iterations` counts Picard and Newton steps.
 ///
 /// @param F    the fixed-point map
 /// @param dF   derivative of F (pass nullptr-like empty function to skip

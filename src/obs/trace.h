@@ -3,7 +3,7 @@
 // chrome://tracing or https://ui.perfetto.dev).
 //
 // Usage:
-//     void DEk1Solver::solve() {
+//     void GiEk1Solver::solve() {
 //       FPSQ_SPAN("dek1.pole_search");
 //       ...
 //     }

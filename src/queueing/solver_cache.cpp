@@ -28,12 +28,11 @@ struct SolverCache::Impl {
   mutable std::mutex mu;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  CacheMap<DEk1Solver> dek1;
   CacheMap<GiEk1Solver> giek1;
   CacheMap<MD1Solution> md1;
 
   [[nodiscard]] std::size_t entries_locked() const {
-    return dek1.size() + giek1.size() + md1.size();
+    return giek1.size() + md1.size();
   }
 
   void note_entries_locked() {
@@ -41,7 +40,7 @@ struct SolverCache::Impl {
                        static_cast<double>(entries_locked()));
   }
 
-  /// Lookup/insert skeleton shared by the three solver kinds: the solve
+  /// Lookup/insert skeleton shared by the two solver kinds: the solve
   /// itself runs outside the lock; a concurrent miss computes the same
   /// canonical bits, and the first insert wins (both pointers are
   /// equivalent, so either may be returned). `solve` returns an
@@ -88,7 +87,6 @@ SolverCache& SolverCache::global() {
 
 void SolverCache::clear() {
   const std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->dek1.clear();
   impl_->giek1.clear();
   impl_->md1.clear();
   impl_->note_entries_locked();
@@ -97,22 +95,6 @@ void SolverCache::clear() {
 SolverCache::Stats SolverCache::stats() const {
   const std::lock_guard<std::mutex> lock(impl_->mu);
   return {impl_->hits, impl_->misses, impl_->entries_locked()};
-}
-
-std::shared_ptr<const DEk1Solver> SolverCache::dek1(int k,
-                                                    double mean_service_s,
-                                                    double period_s) {
-  return dek1_result(k, mean_service_s, period_s).take_or_throw();
-}
-
-err::Result<std::shared_ptr<const DEk1Solver>> SolverCache::dek1_result(
-    int k, double mean_service_s, double period_s) {
-  const Key key{k, bits(mean_service_s), bits(period_s)};
-  return impl_->get(
-      impl_->dek1, key, "queueing.cache.dek1.hits",
-      "queueing.cache.dek1.misses", [&] {
-        return DEk1Solver::create(k, mean_service_s, period_s);
-      });
 }
 
 namespace {
@@ -142,9 +124,9 @@ err::Result<std::shared_ptr<const GiEk1Solver>> SolverCache::giek1_result(
         std::move(solved).take_or_throw());
   }
   const Key key = giek1_key(k, mean_service_s, arrivals);
+  const SolverNames& names = solver_names(arrivals);
   return impl_->get(
-      impl_->giek1, key, "queueing.cache.giek1.hits",
-      "queueing.cache.giek1.misses", [&] {
+      impl_->giek1, key, names.cache_hits, names.cache_misses, [&] {
         return GiEk1Solver::create(k, mean_service_s, arrivals);
       });
 }

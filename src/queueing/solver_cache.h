@@ -13,14 +13,14 @@
 // served answers bit-identical to one-shot runs.
 //
 // Observability: queueing.cache.{dek1,giek1,md1}.{hits,misses} counters
-// and the queueing.cache.entries gauge.
+// (E_K/1 lookups count under the family solver_names() picks for their
+// arrival law) and the queueing.cache.entries gauge.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "err/error.h"
-#include "queueing/dek1.h"
 #include "queueing/giek1.h"
 #include "queueing/mg1.h"
 
@@ -54,24 +54,16 @@ class SolverCache {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// D/E_K/1 solution for (k, b, T); canonical solve on miss.
-  /// Throwing wrapper over dek1_result().
-  [[nodiscard]] std::shared_ptr<const DEk1Solver> dek1(
-      int k, double mean_service_s, double period_s);
+  /// E_K/1 burst-wait solution for (k, b, arrival law), deterministic
+  /// ticks included; canonical solve on miss. Memoized only when
+  /// `arrivals.key_params` is non-empty (the factories fill it; custom
+  /// transforms solve fresh). Throwing wrapper over giek1_result().
+  [[nodiscard]] std::shared_ptr<const GiEk1Solver> giek1(
+      int k, double mean_service_s, const ArrivalTransform& arrivals);
 
   /// Checked variant: returns the solver's structured error instead of
   /// throwing. Failed solves are never cached (a later call with relaxed
   /// fault injection may succeed).
-  [[nodiscard]] err::Result<std::shared_ptr<const DEk1Solver>> dek1_result(
-      int k, double mean_service_s, double period_s);
-
-  /// GI/E_K/1 solution; memoized only when `arrivals.key_params` is
-  /// non-empty (the factories fill it; custom transforms solve fresh).
-  /// Throwing wrapper over giek1_result().
-  [[nodiscard]] std::shared_ptr<const GiEk1Solver> giek1(
-      int k, double mean_service_s, const ArrivalTransform& arrivals);
-
-  /// Checked variant of giek1(); failed solves are never cached.
   [[nodiscard]] err::Result<std::shared_ptr<const GiEk1Solver>>
   giek1_result(int k, double mean_service_s,
                const ArrivalTransform& arrivals);

@@ -17,7 +17,7 @@
 #include "check/generator.h"
 #include "err/fault_injection.h"
 #include "par/thread_pool.h"
-#include "queueing/dek1.h"
+#include "queueing/giek1.h"
 #include "queueing/inversion.h"
 #include "queueing/tail_kernel.h"
 
@@ -159,8 +159,8 @@ TEST_F(CheckTest, TinyLoadQuantilesAreExactlyZero) {
   for (const double rho : {1e-4, 1e-3}) {
     for (const int k : {1, 9}) {
       const double period = 0.04;
-      auto law = fpsq::queueing::DEk1Solver::create(k, rho * period,
-                                                    period);
+      auto law = fpsq::queueing::GiEk1Solver::create(
+          k, rho * period, fpsq::queueing::deterministic_arrivals(period));
       ASSERT_TRUE(law.ok()) << "k=" << k << " rho=" << rho;
       const double p0 = law.value().p_wait_zero();
       ASSERT_GT(p0, 0.99);

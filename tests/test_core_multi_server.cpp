@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "dist/erlang.h"
-#include "queueing/dek1.h"
+#include "queueing/giek1.h"
 #include "queueing/lindley.h"
 
 namespace fpsq::core {
@@ -28,7 +28,8 @@ TEST(MultiServer, SingleServerPoissonizedVsDEk1) {
   // are smoother), but in the same regime.
   const GameServerSpec s{40.0, 9, 5000.0};
   const MultiServerDownstreamModel m{{s}, 5e6};
-  const queueing::DEk1Solver exact{9, 8.0 * 5000.0 / 5e6, 0.040};
+  const queueing::GiEk1Solver exact{9, 8.0 * 5000.0 / 5e6,
+                                    queueing::deterministic_arrivals(0.040)};
   EXPECT_GT(m.mean_burst_wait_ms(), exact.mean_wait() * 1e3);
   EXPECT_GT(m.burst_wait_quantile_ms(1e-4),
             exact.wait_quantile(1e-4) * 1e3);

@@ -209,11 +209,13 @@ TEST(RttModel, JitteredTicksUseGiEk1AndThickenTheTail) {
   const double n = det.clients_for_downlink_load(0.6);
   const RttModel m_det{det, n};
   const RttModel m_jit{jit, n};
-  // Solver accessors route correctly.
-  EXPECT_NO_THROW(m_det.downstream_solver());
-  EXPECT_THROW(m_det.jittered_solver(), std::logic_error);
-  EXPECT_NO_THROW(m_jit.jittered_solver());
-  EXPECT_THROW(m_jit.downstream_solver(), std::logic_error);
+  // One solver, on each model's own tick law.
+  EXPECT_EQ(m_det.downstream_solver().arrivals().name, "Det");
+  EXPECT_EQ(m_jit.downstream_solver().arrivals().name, "Gamma");
+  EXPECT_DOUBLE_EQ(m_jit.downstream_solver().arrivals().mean,
+                   jit.tick_ms * 1e-3);
+  EXPECT_EQ(&m_jit.burst_wait_mgf(),
+            &m_jit.downstream_solver().waiting_mgf());
   // Jitter strictly increases the quantile at this load.
   EXPECT_GT(m_jit.rtt_quantile_ms(1e-5), m_det.rtt_quantile_ms(1e-5));
   // Tiny jitter converges to the deterministic model.

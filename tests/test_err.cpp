@@ -9,7 +9,7 @@
 
 #include "err/fault_injection.h"
 #include "obs/metrics.h"
-#include "queueing/dek1.h"
+#include "queueing/giek1.h"
 
 namespace err = fpsq::err;
 namespace obs = fpsq::obs;
@@ -172,27 +172,28 @@ TEST_F(ErrTest, FaultCheckCountsInjectedFaults) {
 
 TEST_F(ErrTest, SolverCreateReturnsTaxonomy) {
   // kBadParameters: invalid Erlang order.
-  const auto bad = queueing::DEk1Solver::create(0, 0.01, 0.04);
+  const auto tick = queueing::deterministic_arrivals(0.04);
+  const auto bad = queueing::GiEk1Solver::create(0, 0.01, tick);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.error().code, err::SolverErrorCode::kBadParameters);
   // kUnstable: b >= T.
-  const auto unstable = queueing::DEk1Solver::create(9, 0.05, 0.04);
+  const auto unstable = queueing::GiEk1Solver::create(9, 0.05, tick);
   ASSERT_FALSE(unstable.ok());
   EXPECT_EQ(unstable.error().code, err::SolverErrorCode::kUnstable);
   // Injected numeric failure surfaces through create() without a throw.
   err::inject_fault("queueing.dek1",
                     err::SolverErrorCode::kIllConditioned);
-  const auto injected = queueing::DEk1Solver::create(9, 0.01, 0.04);
+  const auto injected = queueing::GiEk1Solver::create(9, 0.01, tick);
   ASSERT_FALSE(injected.ok());
   EXPECT_EQ(injected.error().code,
             err::SolverErrorCode::kIllConditioned);
   // ... while the compatibility constructor throws SolverFailure.
-  EXPECT_THROW(queueing::DEk1Solver(9, 0.01, 0.04), err::SolverFailure);
+  EXPECT_THROW(queueing::GiEk1Solver(9, 0.01, tick), err::SolverFailure);
   err::clear_faults();
   // Clean create() matches the throwing constructor bit-for-bit.
-  auto created = queueing::DEk1Solver::create(9, 0.01, 0.04);
+  auto created = queueing::GiEk1Solver::create(9, 0.01, tick);
   ASSERT_TRUE(created.ok());
-  const queueing::DEk1Solver direct{9, 0.01, 0.04};
+  const queueing::GiEk1Solver direct{9, 0.01, tick};
   EXPECT_EQ(created.value().wait_quantile(1e-5),
             direct.wait_quantile(1e-5));
 }

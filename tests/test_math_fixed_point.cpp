@@ -61,5 +61,25 @@ TEST(FixedPoint, ReportsNonConvergenceHonestly) {
   EXPECT_FALSE(r.converged);
 }
 
+TEST(FixedPoint, UnreachableToleranceEndsAfterOneNewtonPhase) {
+  // The D/E_K/1 map at rho 0.5 cannot reach |F(z) - z| < 1e-18 in
+  // doubles. The solve must give up after one Newton phase instead of
+  // re-entering Newton on each of its 20000 outer iterations (2.4M map
+  // evaluations), and report the Newton steps it took.
+  const double rho = 0.5;
+  long evals = 0;
+  auto F = [&](Complex z) {
+    ++evals;
+    return std::exp((z - Complex{1.0, 0.0}) / rho);
+  };
+  auto dF = [&](Complex z) { return F(z) / rho; };
+  const auto r = solve_fixed_point(F, dF, Complex{0, 0}, 1e-18, 20000);
+  EXPECT_FALSE(r.converged);
+  EXPECT_LE(evals, 1000);
+  EXPECT_GT(r.iterations, 60);  // Picard steps plus the Newton phase
+  // The root itself is as good as doubles allow.
+  EXPECT_LT(r.residual, 1e-15);
+}
+
 }  // namespace
 }  // namespace fpsq::math

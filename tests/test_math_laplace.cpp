@@ -7,7 +7,7 @@
 
 #include "math/special.h"
 #include "queueing/convolution.h"
-#include "queueing/dek1.h"
+#include "queueing/giek1.h"
 
 namespace fpsq::math {
 namespace {
@@ -46,7 +46,8 @@ TEST(Laplace, TailFromMgfMatchesErlangCcdf) {
 
 TEST(Laplace, CrossValidatesDEk1Tail) {
   // Independent check of the transform solution of Section 3.2.1.
-  const queueing::DEk1Solver q{9, 0.6, 1.0};
+  const queueing::GiEk1Solver q{9, 0.6,
+                                queueing::deterministic_arrivals(1.0)};
   auto mgf = [&q](Cx s) { return q.waiting_mgf().value(s); };
   for (double x : {0.2, 0.8, 1.6}) {
     const double inv = tail_from_mgf(mgf, x);
@@ -60,7 +61,8 @@ TEST(Laplace, CrossValidatesStableConvolutionAtLargeK) {
   // convolution path must agree with numerical transform inversion of
   // the factored MGF (which never expands the partial fractions).
   const int k = 20;
-  const queueing::DEk1Solver w{k, 0.3, 1.0};
+  const queueing::GiEk1Solver w{k, 0.3,
+                                queueing::deterministic_arrivals(1.0)};
   const auto y = queueing::position_delay_uniform_mixture(k, w.beta());
   auto mgf = [&](Cx s) { return w.waiting_mgf().value(s) * y.mgf(s); };
   for (double x : {0.2, 0.4, 0.7}) {

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "queueing/dek1.h"
+#include "queueing/giek1.h"
 #include "queueing/mg1.h"
 
 namespace fpsq::queueing {
@@ -34,7 +34,7 @@ TEST(Bounds, KlbExactForMG1) {
 TEST(Bounds, KingmanUpperBoundsDEk1Mean) {
   for (int k : {2, 9, 20}) {
     for (double rho : {0.5, 0.8}) {
-      const DEk1Solver q{k, rho, 1.0};
+      const GiEk1Solver q{k, rho, deterministic_arrivals(1.0)};
       const GiG1Moments m{1.0, 0.0, rho, 1.0 / static_cast<double>(k)};
       EXPECT_GE(kingman_mean_wait_bound(m), q.mean_wait() * 0.999)
           << "k=" << k << " rho=" << rho;
@@ -45,7 +45,7 @@ TEST(Bounds, KingmanUpperBoundsDEk1Mean) {
 TEST(Bounds, KlbTracksDEk1WithinHeavyTrafficError) {
   // KLB is a heavy-traffic style approximation: for D/E_K/1 at high load
   // it should land within tens of percent of the exact mean.
-  const DEk1Solver q{9, 0.9, 1.0};
+  const GiEk1Solver q{9, 0.9, deterministic_arrivals(1.0)};
   const GiG1Moments m{1.0, 0.0, 0.9, 1.0 / 9.0};
   EXPECT_NEAR(klb_mean_wait(m) / q.mean_wait(), 1.0, 0.35);
 }

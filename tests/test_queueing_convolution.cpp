@@ -6,7 +6,7 @@
 
 #include "dist/erlang.h"
 #include "queueing/chernoff.h"
-#include "queueing/dek1.h"
+#include "queueing/giek1.h"
 #include "test_util.h"
 
 namespace fpsq::queueing {
@@ -65,7 +65,7 @@ TEST(Convolution, StableInIllConditionedRegime) {
   // eq. (35): here the convolution route must stay monotone, bounded,
   // and below the Chernoff bound computed from the factored MGF.
   const int k = 20;
-  const DEk1Solver w{k, 0.3, 1.0};
+  const GiEk1Solver w{k, 0.3, deterministic_arrivals(1.0)};
   ASSERT_FALSE(w.degenerate());
   const auto y = position_delay_uniform_mixture(k, w.beta());
   double prev = 1.0 + 1e-12;
@@ -82,7 +82,7 @@ TEST(Convolution, StableInIllConditionedRegime) {
                     y.mgf(Complex{s, 0.0}))
                 .real();
           },
-          std::min(w.dominant_pole(), y.beta()), x);
+          std::min(w.waiting_mgf().dominant_pole().real(), y.beta()), x);
       EXPECT_LE(t, bound * (1.0 + 1e-9)) << "x=" << x;
     }
   }
@@ -93,7 +93,7 @@ TEST(Convolution, AgainstLindleyPlusPositionMonteCarlo) {
   // force simulation of the same system.
   const int k = 9;
   const double rho = 0.6;
-  const DEk1Solver w{k, rho, 1.0};
+  const GiEk1Solver w{k, rho, deterministic_arrivals(1.0)};
   const auto y = position_delay_uniform_mixture(k, w.beta());
   dist::Rng rng{99};
   stats::Empirical emp;

@@ -6,28 +6,10 @@
 
 #include "dist/erlang.h"
 #include "dist/gamma.h"
-#include "queueing/dek1.h"
 #include "queueing/lindley.h"
 
 namespace fpsq::queueing {
 namespace {
-
-TEST(GiEk1, DeterministicArrivalsReproduceDEk1Exactly) {
-  for (const auto& [k, rho] : {std::pair{2, 0.5}, std::pair{9, 0.7},
-                               std::pair{20, 0.9}}) {
-    const DEk1Solver ref{k, rho, 1.0};
-    const GiEk1Solver gen{k, rho, deterministic_arrivals(1.0)};
-    EXPECT_NEAR(gen.p_wait_zero(), ref.p_wait_zero(), 1e-10)
-        << "k=" << k;
-    for (double x : {0.2, 0.8, 2.0}) {
-      EXPECT_NEAR(gen.wait_tail(x), ref.wait_tail(x),
-                  1e-10 + 1e-8 * ref.wait_tail(x))
-          << "k=" << k << " x=" << x;
-    }
-    EXPECT_NEAR(gen.mean_wait(), ref.mean_wait(),
-                1e-9 * (1.0 + ref.mean_wait()));
-  }
-}
 
 TEST(GiEk1, ErlangArrivalsMatchLindleyMonteCarlo) {
   // E_3 / E_9 / 1 at rho = 0.6 (the configuration verified during
@@ -115,6 +97,43 @@ TEST(GiEk1, MgfIsProperAcrossGrid) {
       }
     }
   }
+}
+
+// Jittered ticks at low load, where the waiting tail amplifies a root
+// error the most. Each reference is a 50-digit mpmath computation with
+// T = 1 and Gamma interarrivals of shape = rate = CoV^-2:
+//   1. start from the Lambert-W roots of the deterministic map,
+//      zeta_j = -rho W0(-(1/rho) e^{-1/rho} e^{2 pi i j/K});
+//   2. continue them in CoV (40 steps up from 0) with findroot on
+//      z = omega_j exp(-(shape/K) log(1 + beta (1 - z)/rate));
+//   3. form the Appendix-D Lagrange weights a_j;
+//   4. bisect P(W > x) = Re sum_j a_j e^{-beta (1 - zeta_j) x} = epsilon.
+TEST(GiEk1, LowLoadQuantilesMatchHighPrecisionReference) {
+  struct Case {
+    int k;
+    double rho, cov, epsilon, reference_s;
+  };
+  for (const Case& c : {Case{16, 0.35, 0.05, 2e-7, 0.02086681953173396},
+                        Case{20, 0.3717, 0.0614, 3e-7, 6.0718660341011542e-4},
+                        Case{32, 0.29, 0.2, 4e-6, 0.011925025379522869}}) {
+    const GiEk1Solver q{c.k, c.rho, gamma_arrivals_mean_cov(1.0, c.cov)};
+    EXPECT_NEAR(q.wait_quantile(c.epsilon), c.reference_s,
+                1e-7 * c.reference_s)
+        << "k=" << c.k << " rho=" << c.rho << " cov=" << c.cov;
+  }
+}
+
+TEST(GiEk1, TelemetryNamesFollowTheArrivalLaw) {
+  // Deterministic ticks keep the paper's D/E_K/1 site and cache family.
+  const SolverNames& det = solver_names(deterministic_arrivals(0.04));
+  EXPECT_STREQ(det.site, "queueing.dek1");
+  EXPECT_STREQ(det.cache_hits, "queueing.cache.dek1.hits");
+  const SolverNames& jit =
+      solver_names(gamma_arrivals_mean_cov(0.04, 0.07));
+  EXPECT_STREQ(jit.site, "queueing.giek1");
+  EXPECT_STREQ(jit.cache_misses, "queueing.cache.giek1.misses");
+  EXPECT_STREQ(solver_names(erlang_arrivals(3, 1.0)).site,
+               "queueing.giek1");
 }
 
 TEST(GiEk1, Guards) {

@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "queueing/dek1.h"
+#include "obs/metrics.h"
 #include "queueing/giek1.h"
 #include "queueing/mg1.h"
 
@@ -16,8 +16,19 @@ using queueing::SolverCache;
 
 namespace {
 
-void expect_bitwise_equal(const queueing::DEk1Solver& a,
-                          const queueing::DEk1Solver& b) {
+/// D/E_K/1 (deterministic ticks every T) through the cache.
+std::shared_ptr<const queueing::GiEk1Solver> dek1(SolverCache& cache, int k,
+                                                  double b, double t) {
+  return cache.giek1(k, b, queueing::deterministic_arrivals(t));
+}
+
+/// The same law solved cold, with no cache involved.
+queueing::GiEk1Solver cold_dek1(int k, double b, double t) {
+  return queueing::GiEk1Solver{k, b, queueing::deterministic_arrivals(t)};
+}
+
+void expect_bitwise_equal(const queueing::GiEk1Solver& a,
+                          const queueing::GiEk1Solver& b) {
   ASSERT_EQ(a.k(), b.k());
   ASSERT_EQ(a.zetas().size(), b.zetas().size());
   for (std::size_t j = 0; j < a.zetas().size(); ++j) {
@@ -35,26 +46,26 @@ TEST(SolverCache, OneUlpApartParametersAreSeparateEntries) {
   SolverCache cache;
   const double t = 1.0;
   const double t_next = std::nextafter(1.0, 2.0);
-  const auto a = cache.dek1(9, 0.5, t);
-  const auto b = cache.dek1(9, 0.5, t_next);
+  const auto a = dek1(cache, 9, 0.5, t);
+  const auto b = dek1(cache, 9, 0.5, t_next);
   EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(a->period_s(), t);
-  EXPECT_EQ(b->period_s(), t_next);
+  EXPECT_EQ(a->arrivals().mean, t);
+  EXPECT_EQ(b->arrivals().mean, t_next);
   const auto s = cache.stats();
   EXPECT_EQ(s.entries, 2u);
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.hits, 0u);
   // Each entry is the canonical solve of its own parameters.
-  expect_bitwise_equal(queueing::DEk1Solver{9, 0.5, t_next}, *b);
+  expect_bitwise_equal(cold_dek1(9, 0.5, t_next), *b);
 }
 
 TEST(SolverCache, Dek1HitIsBitIdenticalToColdSolve) {
   SolverCache cache;
   const int k = 9;
   const double b = 0.018, t = 0.040;
-  const queueing::DEk1Solver cold{k, b, t};  // no cache involved
-  const auto first = cache.dek1(k, b, t);    // miss -> canonical solve
-  const auto second = cache.dek1(k, b, t);   // hit
+  const queueing::GiEk1Solver cold = cold_dek1(k, b, t);
+  const auto first = dek1(cache, k, b, t);   // miss -> canonical solve
+  const auto second = dek1(cache, k, b, t);  // hit
   EXPECT_EQ(first.get(), second.get());      // same shared entry
   expect_bitwise_equal(cold, *first);
   const auto s = cache.stats();
@@ -69,10 +80,10 @@ TEST(SolverCache, Dek1DegenerateRegimeCachesIdentically) {
   SolverCache cache;
   const int k = 9;
   const double b = 0.0004, t = 0.040;  // rho = 0.01
-  const queueing::DEk1Solver cold{k, b, t};
+  const queueing::GiEk1Solver cold = cold_dek1(k, b, t);
   ASSERT_TRUE(cold.degenerate());
-  const auto cached = cache.dek1(k, b, t);
-  const auto hit = cache.dek1(k, b, t);
+  const auto cached = dek1(cache, k, b, t);
+  const auto hit = dek1(cache, k, b, t);
   EXPECT_EQ(cached.get(), hit.get());
   expect_bitwise_equal(cold, *hit);
   EXPECT_EQ(cold.wait_quantile(1e-5), hit->wait_quantile(1e-5));
@@ -111,11 +122,36 @@ TEST(SolverCache, Md1SolutionMatchesFreshQueue) {
 
 TEST(SolverCache, ClearDropsEntries) {
   SolverCache cache;
-  (void)cache.dek1(9, 0.018, 0.040);
+  (void)dek1(cache, 9, 0.018, 0.040);
   (void)cache.md1(1500.0, 1.28e-4);
   EXPECT_EQ(cache.stats().entries, 2u);
   cache.clear();
   EXPECT_EQ(cache.stats().entries, 0u);
-  (void)cache.dek1(9, 0.018, 0.040);
+  (void)dek1(cache, 9, 0.018, 0.040);
   EXPECT_EQ(cache.stats().misses, 3u);
 }
+
+#ifndef FPSQ_NO_METRICS
+TEST(SolverCache, CounterFamilyFollowsTheArrivalLaw) {
+  // Deterministic ticks count under queueing.cache.dek1.*, every other
+  // law under queueing.cache.giek1.*, in one entry map.
+  auto& reg = fpsq::obs::MetricsRegistry::global();
+  reg.reset();
+  SolverCache cache;
+  (void)dek1(cache, 9, 0.018, 0.040);
+  (void)dek1(cache, 9, 0.018, 0.040);
+  (void)cache.giek1(9, 0.018,
+                    queueing::gamma_arrivals_mean_cov(0.040, 0.07));
+  const auto counter = [&reg](const char* name) {
+    for (const auto& c : reg.snapshot().counters) {
+      if (c.name == name) return c.value;
+    }
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(counter("queueing.cache.dek1.misses"), 1u);
+  EXPECT_EQ(counter("queueing.cache.dek1.hits"), 1u);
+  EXPECT_EQ(counter("queueing.cache.giek1.misses"), 1u);
+  EXPECT_EQ(counter("queueing.cache.giek1.hits"), 0u);
+  EXPECT_EQ(cache.stats().entries, 2u);
+}
+#endif  // FPSQ_NO_METRICS

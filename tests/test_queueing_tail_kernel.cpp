@@ -7,7 +7,7 @@
 
 #include "err/error.h"
 #include "queueing/convolution.h"
-#include "queueing/dek1.h"
+#include "queueing/giek1.h"
 #include "queueing/position_delay.h"
 
 namespace fpsq::queueing {
@@ -28,7 +28,7 @@ std::vector<double> probe_points(double mean) {
 TEST(TailKernel, MatchesErlangMixMgfTailAndDensity) {
   for (int k : kBurstSizes) {
     for (double rho : kLoads) {
-      const DEk1Solver w{k, rho, 1.0};
+      const GiEk1Solver w{k, rho, deterministic_arrivals(1.0)};
       if (w.degenerate()) continue;
       const ErlangMixMgf& v = w.waiting_mgf();
       const TailKernel kern{v};
@@ -69,7 +69,7 @@ TEST(TailKernel, ConvolvedMatchesQuadratureOracle) {
   // corners where an expanded partial-fraction product loses 1e-9.
   for (int k : {2, 9, 12, 16, 20, 32, 64}) {
     for (double rho : {0.05, 0.3, 0.5, 0.6, 0.7, 0.85, 0.95}) {
-      const DEk1Solver w{k, rho, 1.0};
+      const GiEk1Solver w{k, rho, deterministic_arrivals(1.0)};
       if (w.degenerate()) continue;
       const auto y = position_delay_uniform_mixture(k, w.beta());
       const TailKernel kern{w.waiting_mgf(), y};
@@ -92,7 +92,7 @@ TEST(TailKernel, PoleClashRegimeTakesSeriesAndStaysAccurate) {
   // with catastrophic cancellation, so the poles must take the series
   // form and still match the adaptive oracle.
   const int k = 20;
-  const DEk1Solver w{k, 0.3, 1.0};
+  const GiEk1Solver w{k, 0.3, deterministic_arrivals(1.0)};
   ASSERT_FALSE(w.degenerate());
   const auto y = position_delay_uniform_mixture(k, w.beta());
   const TailKernel kern{w.waiting_mgf(), y};
@@ -109,7 +109,7 @@ TEST(TailKernel, PoleClashRegimeTakesSeriesAndStaysAccurate) {
 TEST(TailKernel, QuantileRoundTripsThroughTail) {
   for (int k : kBurstSizes) {
     for (double rho : kLoads) {
-      const DEk1Solver w{k, rho, 1.0};
+      const GiEk1Solver w{k, rho, deterministic_arrivals(1.0)};
       if (w.degenerate()) continue;
       const auto y = position_delay_uniform_mixture(k, w.beta());
       const TailKernel kern{w.waiting_mgf(), y};
@@ -123,7 +123,7 @@ TEST(TailKernel, QuantileRoundTripsThroughTail) {
 }
 
 TEST(TailKernel, QuantileRoundTripsOnSeriesPath) {
-  const DEk1Solver w{20, 0.3, 1.0};
+  const GiEk1Solver w{20, 0.3, deterministic_arrivals(1.0)};
   const auto y = position_delay_uniform_mixture(20, w.beta());
   const TailKernel kern{w.waiting_mgf(), y};
   ASSERT_FALSE(kern.closed_form());
@@ -134,7 +134,7 @@ TEST(TailKernel, QuantileRoundTripsOnSeriesPath) {
 }
 
 TEST(TailKernel, TailManyMatchesScalarTail) {
-  const DEk1Solver w{9, 0.7, 1.0};
+  const GiEk1Solver w{9, 0.7, deterministic_arrivals(1.0)};
   const auto y = position_delay_uniform_mixture(9, w.beta());
   const TailKernel kern{w.waiting_mgf(), y};
   std::vector<double> xs;

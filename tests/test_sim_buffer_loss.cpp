@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "dist/rng.h"
-#include "queueing/dek1.h"
 #include "queueing/mg1.h"
 #include "sim/event_kernel.h"
 #include "sim/gaming_scenario.h"
@@ -143,17 +142,6 @@ TEST(MD1Loss, MonotoneAndGuarded) {
     prev = l;
   }
   EXPECT_THROW(md1.loss_probability_approx(0), std::invalid_argument);
-}
-
-TEST(DEk1SystemTime, ExceedsWaitAndMatchesConvolutionSanity) {
-  const queueing::DEk1Solver q{9, 0.6, 1.0};
-  // System time = wait + Erlang(K) service: stochastically larger.
-  for (double x : {0.3, 0.8, 1.5}) {
-    EXPECT_GE(q.system_time_tail(x), q.wait_tail(x));
-  }
-  EXPECT_GT(q.system_time_quantile(1e-3), q.wait_quantile(1e-3));
-  // At x below the minimum plausible service the tail is ~1.
-  EXPECT_GT(q.system_time_tail(0.05), 0.9);
 }
 
 }  // namespace
