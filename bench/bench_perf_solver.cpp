@@ -3,12 +3,15 @@
 // quantile extraction, and the full RttModel construction + query.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/rtt_model.h"
 #include "queueing/convolution.h"
 #include "queueing/giek1.h"
 #include "queueing/mg1.h"
 #include "queueing/mg1_erlang_service.h"
 #include "queueing/position_delay.h"
+#include "queueing/solver_cache.h"
 
 namespace {
 
@@ -109,5 +112,28 @@ void BM_RttModelFullQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RttModelFullQuery)->Arg(2)->Arg(9)->Arg(20);
+
+// A model build as a distinct request pays for it: the solver cache is
+// cleared before every build (BM_RttModelFullQuery hits it after its
+// first iteration), and rho_d steps through 0.10..0.89 so consecutive
+// builds never share roots. Each iteration runs the burst-wait roots,
+// the M/D/1 pole search, the D_u W product and the total-kernel compile.
+void BM_RttModelColdCreate(benchmark::State& state) {
+  core::AccessScenario s;
+  s.erlang_k = static_cast<int>(state.range(0));
+  std::vector<double> gamers;
+  for (int i = 0; i < 80; ++i) {
+    gamers.push_back(s.clients_for_downlink_load(0.10 + 0.01 * i));
+  }
+  auto& cache = SolverCache::global();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    cache.clear();
+    const auto model = core::RttModel::create(s, gamers[i]);
+    benchmark::DoNotOptimize(model.ok());
+    i = (i + 1) % gamers.size();
+  }
+}
+BENCHMARK(BM_RttModelColdCreate)->Arg(9)->Arg(20)->Arg(32)->Arg(64);
 
 }  // namespace

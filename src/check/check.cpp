@@ -255,9 +255,9 @@ class PointChecker {
       solver_mismatch(e.error(), "total_quantile", p_.epsilon);
     }
 
-    const queueing::TailKernel* down = m.downstream_kernel();
+    const queueing::TailKernel down = m.downstream_kernel();
     for (const double mult : {0.5, 2.0, 8.0}) {
-      const double x = mult * std::max(down->mean(), floor_s);
+      const double x = mult * std::max(down.mean(), floor_s);
       const double oracle =
           m.burst_wait_dropped()
               ? position.tail(x)
@@ -265,7 +265,7 @@ class PointChecker {
                                          x);
       std::string what = "down_tail";
       append_g(what, "x", x);
-      compare(PathPair::kKernelVsOracle, what, down->tail(x), oracle,
+      compare(PathPair::kKernelVsOracle, what, down.tail(x), oracle,
               kOracleAbs, kOracleRel);
     }
   }

@@ -140,16 +140,11 @@ std::optional<err::SolverError> RttModel::init(
     }
   }
 
-  // Precompile the tail kernels: one exact evaluator per law, shared by
-  // every subsequent tail/quantile query.
+  // Precompile the total law's tail kernel, shared by every subsequent
+  // tail/quantile query.
   try {
     total_kernel_ =
         std::make_unique<const queueing::TailKernel>(upw_, *position_);
-    downstream_kernel_ =
-        burst_dropped_
-            ? std::make_unique<const queueing::TailKernel>(*position_)
-            : std::make_unique<const queueing::TailKernel>(
-                  burst_wait_mgf(), *position_);
   } catch (const std::exception& ex) {
     return fail(err::SolverErrorCode::kIllConditioned,
                 std::string("RttModel tail kernel: ") + ex.what());
@@ -170,12 +165,17 @@ double RttModel::total_tail(double x_s) const {
   return total_kernel_->tail(x_s);
 }
 
+queueing::TailKernel RttModel::downstream_kernel() const {
+  return burst_dropped_ ? queueing::TailKernel(*position_)
+                        : queueing::TailKernel(burst_wait_mgf(), *position_);
+}
+
 double RttModel::downstream_tail(double x_s) const {
-  return downstream_kernel_->tail(x_s);
+  return downstream_kernel().tail(x_s);
 }
 
 double RttModel::downstream_quantile_ms(double epsilon) const {
-  return downstream_kernel_->quantile(epsilon) * 1e3;
+  return downstream_kernel().quantile(epsilon) * 1e3;
 }
 
 double RttModel::stochastic_quantile_ms(double epsilon,

@@ -100,12 +100,11 @@ class RttModel {
   [[nodiscard]] const queueing::TailKernel* total_kernel() const noexcept {
     return total_kernel_.get();
   }
-  /// Precompiled evaluator of the downstream law W + P (P alone when the
-  /// burst wait was dropped; never null).
-  [[nodiscard]] const queueing::TailKernel* downstream_kernel()
-      const noexcept {
-    return downstream_kernel_.get();
-  }
+  /// Compiles an evaluator of the downstream law W + P (P alone when the
+  /// burst wait was dropped). No rtt, dimension or sweep answer reads
+  /// this law, so the model does not build it; validation, `fpsq check`
+  /// and tests compile it here, once per call.
+  [[nodiscard]] queueing::TailKernel downstream_kernel() const;
 
   /// Value of the full product MGF D_u(s) W(s) P(s), evaluated from the
   /// factored form (cancellation-free).
@@ -115,9 +114,11 @@ class RttModel {
   [[nodiscard]] double total_tail(double x_s) const;
 
   /// Tail of the downstream stochastic delay W + P (no upstream), x [s].
+  /// Compiles downstream_kernel() per call.
   [[nodiscard]] double downstream_tail(double x_s) const;
 
-  /// epsilon-quantile of the downstream stochastic delay [ms].
+  /// epsilon-quantile of the downstream stochastic delay [ms]. Compiles
+  /// downstream_kernel() per call.
   [[nodiscard]] double downstream_quantile_ms(double epsilon) const;
 
   /// epsilon-quantile of the total stochastic delay [ms].
@@ -168,10 +169,9 @@ class RttModel {
   std::unique_ptr<queueing::ErlangMixture> position_;
   queueing::ErlangMixMgf upw_;  ///< D_u * W (or D_u alone if W dropped)
   // Compiled once in init(); every tail and quantile query below then
-  // reuses them instead of re-deriving the combined law per evaluation
+  // reuses it instead of re-deriving the combined law per evaluation
   // point.
   std::unique_ptr<const queueing::TailKernel> total_kernel_;
-  std::unique_ptr<const queueing::TailKernel> downstream_kernel_;
 };
 
 }  // namespace fpsq::core

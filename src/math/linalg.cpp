@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace fpsq::math {
@@ -69,30 +68,6 @@ CVector solve_vandermonde_transposed(const CVector& y, const CVector& b) {
     }
   }
   return solve_dense(std::move(a), b);
-}
-
-double vandermonde_condition_estimate(const CVector& y) {
-  const std::size_t n = y.size();
-  if (n < 2) return 1.0;
-  double worst = 1.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    double log_prod = 0.0;  // accumulate in log space to dodge overflow
-    bool degenerate = false;
-    for (std::size_t m = 0; m < n; ++m) {
-      if (m == j) continue;
-      const double sep = std::abs(y[j] - y[m]);
-      if (sep == 0.0) {
-        degenerate = true;
-        break;
-      }
-      log_prod += std::log((1.0 + std::abs(y[m])) / sep);
-    }
-    if (degenerate) {
-      return std::numeric_limits<double>::infinity();
-    }
-    worst = std::max(worst, std::exp(log_prod));
-  }
-  return worst;
 }
 
 Complex polyval(const CVector& coeffs, Complex x) {

@@ -27,11 +27,4 @@ using CMatrix = std::vector<std::vector<Complex>>;  // row-major
 /// Evaluates a polynomial with coefficients c[0] + c[1] x + ... by Horner.
 [[nodiscard]] Complex polyval(const CVector& coeffs, Complex x);
 
-/// Cheap upper-bound estimate of the condition number of the Vandermonde
-/// matrix built on the nodes y (Gautschi-style bound):
-///     max_j prod_{m != j} (1 + |y_m|) / |y_j - y_m|.
-/// Returns +inf when two nodes coincide; 1.0 for fewer than two nodes.
-/// Used by the pole-search diagnostics to flag near-degenerate pole sets.
-[[nodiscard]] double vandermonde_condition_estimate(const CVector& y);
-
 }  // namespace fpsq::math

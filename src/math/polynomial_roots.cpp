@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
+#include "err/error.h"
 #include "obs/solver_telemetry.h"
 
 namespace fpsq::math {
@@ -83,11 +86,21 @@ std::vector<Cx> durand_kerner(const Poly& p_in, double tol, int max_iter) {
     power *= seed;
     z[k] = power * (radius / std::abs(power)) * 0.7;
   }
-  double move = 0.0;
-  int iterations = 0;
+  // Rounding floor of a Horner evaluation: |fl(p(z)) - p(z)| <=
+  // gamma * sum_i |c_i| |z|^i with gamma ~ 4 n u for complex
+  // arithmetic. Once every residual is at that floor the iterates are
+  // roots to working precision, and further steps only move them by
+  // rounding noise (a root set spanning 1e-2 .. 1e0 under a Cauchy
+  // radius of 4e3 keeps moving by ~1e-11 forever).
+  std::vector<double> abs_coeff(monic.size());
+  for (std::size_t i = 0; i < monic.size(); ++i) {
+    abs_coeff[i] = std::abs(monic[i]);
+  }
+  const double gamma =
+      2.0 * static_cast<double>(n) * std::numeric_limits<double>::epsilon();
   for (int it = 0; it < max_iter; ++it) {
-    iterations = it + 1;
-    move = 0.0;
+    double move = 0.0;
+    bool at_floor = true;
     for (std::size_t k = 0; k < n; ++k) {
       Cx denom{1.0, 0.0};
       for (std::size_t j = 0; j < n; ++j) {
@@ -98,26 +111,33 @@ std::vector<Cx> durand_kerner(const Poly& p_in, double tol, int max_iter) {
         // Coinciding iterates: nudge apart.
         z[k] += Cx{1e-8 * radius, 1e-8 * radius};
         move = radius;
+        at_floor = false;
         continue;
       }
-      const Cx delta = poly_eval(monic, z[k]) / denom;
+      // p(z_k) and its rounding bound in one Horner pass.
+      Cx value{0.0, 0.0};
+      double bound = 0.0;
+      const double r = std::abs(z[k]);
+      for (std::size_t i = monic.size(); i-- > 0;) {
+        value = value * z[k] + monic[i];
+        bound = bound * r + abs_coeff[i];
+      }
+      if (std::abs(value) > gamma * bound) at_floor = false;
+      const Cx delta = value / denom;
       z[k] -= delta;
       move = std::max(move, std::abs(delta));
     }
-    if (move < tol) {
-      obs::record_solver_call("durand_kerner", iterations, true);
+    if (move < tol || at_floor) {
+      obs::record_solver_call("durand_kerner", it + 1, true);
       obs::record_solver_residual("durand_kerner", move);
       return z;
     }
   }
-  if (move > 1e-8 * radius) {
-    obs::record_solver_call("durand_kerner", iterations, false);
-    throw std::runtime_error("durand_kerner: iteration did not converge");
-  }
-  // Stalled below the loose fallback threshold: usable, but not to tol.
-  obs::record_solver_call("durand_kerner", iterations, true);
-  obs::record_solver_residual("durand_kerner", move);
-  return z;
+  obs::record_solver_call("durand_kerner", max_iter, false);
+  throw err::SolverFailure(
+      {err::SolverErrorCode::kNonConvergence,
+       "durand_kerner: no convergence within " + std::to_string(max_iter) +
+           " iterations"});
 }
 
 }  // namespace fpsq::math

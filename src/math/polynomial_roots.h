@@ -32,14 +32,17 @@ using Poly = std::vector<std::complex<double>>;
 /// Drops (numerically) zero leading coefficients.
 [[nodiscard]] Poly poly_trim(Poly p, double tol = 0.0);
 
-/// All complex roots by Durand-Kerner iteration.
+/// All complex roots by Durand-Kerner iteration. Stops when every root
+/// moved less than `tol` in one sweep, or when every residual |p(z_k)|
+/// is at the rounding floor of its Horner evaluation (the roots are then
+/// as accurate as the coefficients allow).
 ///
 /// @param p        polynomial of degree >= 1 (leading coefficient != 0)
 /// @param tol      per-root movement tolerance
 /// @param max_iter iteration cap
-/// @throws std::invalid_argument for degree < 1
-/// @returns degree roots (convergence is checked; a std::runtime_error is
-///          thrown if the iteration stalls above 1e-8 movement)
+/// @throws std::invalid_argument for degree < 1; err::SolverFailure
+///         (kNonConvergence, a std::runtime_error) when neither test
+///         passes within max_iter sweeps
 [[nodiscard]] std::vector<std::complex<double>> durand_kerner(
     const Poly& p, double tol = 1e-13, int max_iter = 2000);
 

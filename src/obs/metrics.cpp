@@ -130,34 +130,23 @@ int Histogram::bucket_index(double v) noexcept {
   // Log-linear grid: bucket 0 is the underflow (v < 1e-18, incl. <= 0),
   // the last bucket the overflow (v >= 1e18); in between, decade e
   // (e in [-18, 17]) is split into 9 linear sub-buckets
-  // [m*10^e, (m+1)*10^e) for m = 1..9.
+  // [m*10^e, (m+1)*10^e) for m = 1..9. The search runs over the very
+  // bounds the snapshot reports (bucket i's upper bound is bucket
+  // i+1's lower bound), so the [lower, upper) contract holds exactly.
   if (!(v >= 1e-18)) return 0;  // also catches NaN
   if (v >= 1e18) return kBuckets - 1;
-  int e = static_cast<int>(std::floor(std::log10(v)));
-  e = std::clamp(e, -kDecades / 2 - 1, kDecades / 2);
-  int m = static_cast<int>(v / std::pow(10.0, e));
-  if (m < 1) {
-    // v sits just below 10^e but log10 rounded up: top sub-bucket of
-    // the previous decade.
-    m = kSubBuckets;
-    --e;
-  } else if (m > kSubBuckets) {
-    // v sits at/above 10^(e+1) but log10 rounded down.
-    m = 1;
-    ++e;
-  }
-  if (e < -kDecades / 2) return 0;
-  if (e >= kDecades / 2) return kBuckets - 1;
-  int i = 1 + (e + kDecades / 2) * kSubBuckets + (m - 1);
-  // m*10^e is recomputed from (e, m) in bucket_lower_bound and can land
-  // an ulp away from v's own rounding; nudge so the [lower, upper)
-  // contract holds exactly for the bounds the snapshot will report.
-  if (v < bucket_lower_bound(i) && i > 1) {
-    --i;
-  } else if (v >= bucket_upper_bound(i) && i < kBuckets - 1) {
-    ++i;
-  }
-  return i;
+  static const auto kLower = [] {
+    std::array<double, kBuckets - 2> lower{};
+    for (int i = 1; i <= kBuckets - 2; ++i) {
+      lower[static_cast<std::size_t>(i - 1)] = bucket_lower_bound(i);
+    }
+    return lower;
+  }();
+  // Regular buckets whose lower bound is <= v; v in [1e-18, 10^-18 as
+  // pow() rounds it) still belongs to bucket 1.
+  const auto n = std::upper_bound(kLower.begin(), kLower.end(), v) -
+                 kLower.begin();
+  return std::max(1, static_cast<int>(n));
 }
 
 double Histogram::bucket_lower_bound(int i) {

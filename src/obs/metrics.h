@@ -16,7 +16,7 @@
 //     --metrics-out and writes an empty, schema-valid file).
 //
 // Metric names follow `subsystem.object.event`, e.g.
-// `queueing.dek1.fixed_point.iterations` (see docs/OBSERVABILITY.md).
+// `queueing.dek1.lambert_w.iterations` (see docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>

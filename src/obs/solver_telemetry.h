@@ -1,20 +1,26 @@
 // fpsq::obs — convergence telemetry for the numeric solvers.
 //
-// The math layer (roots, minimize, fixed_point, polynomial_roots) calls
-// the record_* helpers on every solve; the queueing layer labels those
-// calls with a ScopedSolverContext so the metrics are attributed to the
-// *call site* rather than the algorithm alone:
+// The math layer (roots, minimize, fixed_point, lambert_w,
+// polynomial_roots) calls the record_* helpers on every solve; the
+// queueing layer labels those calls with a ScopedSolverContext so the
+// metrics are attributed to the *call site* rather than the algorithm
+// alone:
 //
-//     obs::ScopedSolverContext ctx("queueing.dek1");
+//     obs::ScopedSolverContext ctx("queueing.giek1");
 //     auto r = math::solve_fixed_point(...);   // records
-//         // queueing.dek1.fixed_point.{calls,iterations,failures,...}
+//         // queueing.giek1.fixed_point.{calls,iterations,failures,...}
 //
-// Per call-site metrics emitted (all names `<site>.<algorithm>.<event>`):
+// Per call-site metrics emitted (all names `<site>.<algorithm>.<event>`,
+// each resolved to a registry handle once per thread, so an event costs
+// one relaxed store into the thread's shard):
 //     .calls           counter   one per invocation
 //     .iterations      histogram iterations consumed
 //     .failures        counter   returned with converged == false
 //     .bracket_errors  counter   bracket/sign-change preconditions failed
 //     .residual        histogram final residual (where the solver has one)
+//
+// `site` and `algorithm` must be string literals (or otherwise outlive
+// the process): handles are cached by their addresses.
 //
 // Everything here is a no-op under -DFPSQ_NO_METRICS (except
 // require_converged, which still throws — convergence escalation is
@@ -55,17 +61,15 @@ void record_solver_residual(const char* algorithm, double residual);
 void record_bracket_error(const char* algorithm);
 
 /// Pole-search diagnostics for a transform solver: the minimum relative
-/// pole separation and a condition estimate of the (transposed)
-/// Vandermonde system behind the residue weights.
-void record_pole_diagnostics(const char* solver, double min_separation,
-                             double vandermonde_cond);
+/// pole separation, recorded into `<solver>.min_pole_separation`.
+void record_pole_diagnostics(const char* solver, double min_separation);
 
 #else
 
 inline void record_solver_call(const char*, int, bool) {}
 inline void record_solver_residual(const char*, double) {}
 inline void record_bracket_error(const char*) {}
-inline void record_pole_diagnostics(const char*, double, double) {}
+inline void record_pole_diagnostics(const char*, double) {}
 
 #endif  // FPSQ_NO_METRICS
 

@@ -30,8 +30,17 @@ struct TraceRecorder::Impl {
   Clock::time_point epoch = Clock::now();
 
   mutable std::mutex mu;  // guards ring resize only
+  // Allocated on first enable (or set_capacity), before `enabled` flips:
+  // a process that never traces never pays for the 2 MiB default ring.
   std::vector<TraceEvent> ring;
   std::size_t mask = 0;  // ring.size() - 1, ring size is a power of two
+
+  void resize_locked(std::size_t n) {
+    ring.assign(std::bit_ceil(std::max<std::size_t>(n, 16)), TraceEvent{});
+    mask = ring.size() - 1;
+    head.store(0, std::memory_order_relaxed);
+    total.store(0, std::memory_order_relaxed);
+  }
 };
 
 TraceRecorder& TraceRecorder::global() {
@@ -39,10 +48,7 @@ TraceRecorder& TraceRecorder::global() {
   return *g;
 }
 
-TraceRecorder::TraceRecorder() : impl_(new Impl()) {
-  impl_->ring.resize(std::size_t{1} << 16);
-  impl_->mask = impl_->ring.size() - 1;
-}
+TraceRecorder::TraceRecorder() : impl_(new Impl()) {}
 
 TraceRecorder::~TraceRecorder() { delete impl_; }
 
@@ -50,17 +56,18 @@ bool TraceRecorder::enabled() const noexcept {
   return impl_->enabled.load(std::memory_order_relaxed);
 }
 
-void TraceRecorder::set_enabled(bool on) noexcept {
-  impl_->enabled.store(on, std::memory_order_relaxed);
+void TraceRecorder::set_enabled(bool on) {
+  if (on) {
+    std::lock_guard<std::mutex> lock(impl_->mu);
+    if (impl_->ring.empty()) impl_->resize_locked(kDefaultCapacity);
+  }
+  // Release: a recorder that sees the flag also sees the ring.
+  impl_->enabled.store(on, std::memory_order_release);
 }
 
 void TraceRecorder::set_capacity(std::size_t n) {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->ring.assign(std::bit_ceil(std::max<std::size_t>(n, 16)),
-                     TraceEvent{});
-  impl_->mask = impl_->ring.size() - 1;
-  impl_->head.store(0, std::memory_order_relaxed);
-  impl_->total.store(0, std::memory_order_relaxed);
+  impl_->resize_locked(n);
 }
 
 std::size_t TraceRecorder::capacity() const noexcept {
@@ -68,7 +75,7 @@ std::size_t TraceRecorder::capacity() const noexcept {
 }
 
 void TraceRecorder::record(const TraceEvent& ev) noexcept {
-  if (!enabled()) return;
+  if (!impl_->enabled.load(std::memory_order_acquire)) return;
   const std::uint64_t pos =
       impl_->head.fetch_add(1, std::memory_order_relaxed);
   impl_->ring[pos & impl_->mask] = ev;

@@ -35,15 +35,23 @@ class TraceRecorder {
   /// Leaked singleton (same shutdown rationale as MetricsRegistry).
   static TraceRecorder& global();
 
+  /// A private recorder (tests); spans always record into global().
+  TraceRecorder();
+  ~TraceRecorder();
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
+  /// Ring size a first set_enabled(true) allocates (2 MiB of events).
+  static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 16;
+
   [[nodiscard]] bool enabled() const noexcept;
-  void set_enabled(bool on) noexcept;
+  /// Enabling allocates the default ring unless one exists already.
+  void set_enabled(bool on);
 
   /// Resizes the ring buffer (rounded up to a power of two, >= 16) and
   /// clears it. Not safe concurrently with recording.
   void set_capacity(std::size_t n);
+  /// Ring size; 0 until the recorder is first enabled or sized.
   [[nodiscard]] std::size_t capacity() const noexcept;
 
   /// Records a completed span (no-op while disabled).
@@ -65,9 +73,6 @@ class TraceRecorder {
   [[nodiscard]] std::uint64_t now_ns() const noexcept;
 
  private:
-  TraceRecorder();
-  ~TraceRecorder();
-
   struct Impl;
   Impl* impl_;
 };

@@ -12,7 +12,7 @@ namespace fpsq::queueing {
 
 namespace {
 
-void check_terms(const std::vector<ErlangMixMgf::PoleTerm>& terms) {
+void check_poles(const std::vector<ErlangMixMgf::PoleTerm>& terms) {
   for (const auto& t : terms) {
     if (!(t.theta.real() > 0.0)) {
       throw std::invalid_argument(
@@ -22,6 +22,10 @@ void check_terms(const std::vector<ErlangMixMgf::PoleTerm>& terms) {
       throw std::invalid_argument("ErlangMixMgf: empty coefficient list");
     }
   }
+}
+
+void check_terms(const std::vector<ErlangMixMgf::PoleTerm>& terms) {
+  check_poles(terms);
   for (std::size_t i = 0; i < terms.size(); ++i) {
     for (std::size_t j = i + 1; j < terms.size(); ++j) {
       const double dist = std::abs(terms[i].theta - terms[j].theta);
@@ -50,6 +54,12 @@ ErlangMixMgf::ErlangMixMgf() = default;
 ErlangMixMgf::ErlangMixMgf(double constant, std::vector<PoleTerm> terms)
     : constant_(constant), terms_(std::move(terms)) {
   check_terms(terms_);
+}
+
+ErlangMixMgf::ErlangMixMgf(double constant, std::vector<PoleTerm> terms,
+                           SeparatedPoles)
+    : constant_(constant), terms_(std::move(terms)) {
+  check_poles(terms_);
 }
 
 ErlangMixMgf ErlangMixMgf::atom_plus_exponential(double atom, Complex theta) {
@@ -244,8 +254,11 @@ ErlangMixMgf multiply(const ErlangMixMgf& a, const ErlangMixMgf& b) {
   for (const auto& t : a.terms()) contribute(t, b);
   for (const auto& t : b.terms()) contribute(t, a);
 
+  // Poles within a factor were separated when it was built, and the
+  // cross pairs were checked above.
   const double c0 = a.constant_term() * b.constant_term();
-  return ErlangMixMgf{c0, std::move(out_terms)};
+  return ErlangMixMgf{c0, std::move(out_terms),
+                      ErlangMixMgf::SeparatedPoles{}};
 }
 
 }  // namespace fpsq::queueing

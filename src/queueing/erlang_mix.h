@@ -19,6 +19,8 @@ namespace fpsq::queueing {
 
 using Complex = std::complex<double>;
 
+class GiEk1Solver;
+
 class ErlangMixMgf {
  public:
   /// All Erlang components sharing one pole location.
@@ -92,13 +94,24 @@ class ErlangMixMgf {
   static constexpr double kPoleClash = 1e-9;
 
  private:
+  friend class GiEk1Solver;
+  friend ErlangMixMgf multiply(const ErlangMixMgf& a, const ErlangMixMgf& b);
+
+  /// Builder for pole sets whose producer has already separated them
+  /// (pairwise relative distance > kPoleClash): checks the per-pole
+  /// conditions only, in O(n) instead of the general builder's O(n^2).
+  struct SeparatedPoles {};
+  ErlangMixMgf(double constant, std::vector<PoleTerm> terms, SeparatedPoles);
+
   double constant_ = 1.0;
   std::vector<PoleTerm> terms_;
 };
 
 /// Product of two MGFs (sum of independent delays), re-expanded into the
 /// same representation via Appendix-A partial fractions. The pole sets
-/// must be disjoint.
+/// must be disjoint. Each factor's poles are already separated, so only
+/// the cross pairs are checked: O(|a| |b|), which is O(K) for the
+/// one-pole upstream factor times the K-pole burst wait.
 /// @throws std::invalid_argument when poles (nearly) collide.
 [[nodiscard]] ErlangMixMgf multiply(const ErlangMixMgf& a,
                                     const ErlangMixMgf& b);

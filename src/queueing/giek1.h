@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "err/error.h"
+#include "obs/metrics.h"
 #include "queueing/erlang_mix.h"
 
 namespace fpsq::queueing {
@@ -61,12 +62,15 @@ struct ArrivalTransform {
 
 /// Telemetry names of a solve, chosen by its arrival law: deterministic
 /// ticks report under the paper's D/E_K/1 names, every other law under
-/// the GI/E_K/1 ones.
+/// the GI/E_K/1 ones. The same test picks GiEk1Solver's root path
+/// (closed-form Lambert-W roots for deterministic ticks).
 struct SolverNames {
   const char* site;          ///< "queueing.dek1" / "queueing.giek1"
   const char* span;          ///< "dek1.pole_search" / "giek1.pole_search"
   const char* cache_hits;    ///< "queueing.cache.{dek1,giek1}.hits"
   const char* cache_misses;  ///< "queueing.cache.{dek1,giek1}.misses"
+  obs::Counter hits;         ///< registry handle of `cache_hits`
+  obs::Counter misses;       ///< registry handle of `cache_misses`
 };
 [[nodiscard]] const SolverNames& solver_names(
     const ArrivalTransform& arrivals) noexcept;
@@ -78,7 +82,8 @@ class GiEk1Solver {
   /// of throwing:
   ///   - kBadParameters   k < 1, non-positive times or no transform
   ///   - kUnstable        rho = b/E[A] >= 1
-  ///   - kNonConvergence  zeta fixed-point failure / root outside |z| < 1
+  ///   - kNonConvergence  Lambert-W / zeta fixed-point failure, or a root
+  ///                      outside |z| < 1
   ///   - kIllConditioned  Lagrange weights yield an atom outside [0, 1]
   /// Fault-injection site: solver_names(arrivals).site (tag = rho).
   [[nodiscard]] static err::Result<GiEk1Solver> create(
@@ -98,8 +103,9 @@ class GiEk1Solver {
     return arrivals_;
   }
 
-  /// Roots zeta_j, j = 1..K (j = 1 is the real, largest-modulus root
-  /// giving the dominant pole).
+  /// Roots zeta_j, j = 1..K, in rotation order omega_j = e^{2 pi i
+  /// (j-1)/K} (j = 1 is the real, largest-modulus root giving the
+  /// dominant pole).
   [[nodiscard]] const std::vector<Complex>& zetas() const noexcept {
     return zetas_;
   }

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "math/linalg.h"
 #include "math/polynomial_roots.h"
 #include "math/roots.h"
 #include "obs/solver_telemetry.h"
@@ -267,16 +266,13 @@ ErlangMixMgf MG1ErlangMixService::full_mgf() const {
       min_rel_sep =
           std::min(min_rel_sep, std::abs(roots[i] - roots[j]) / scale);
       if (std::abs(roots[i] - roots[j]) < 1e-7 * scale) {
-        obs::record_pole_diagnostics(
-            "queueing.mg1_erlang", min_rel_sep,
-            math::vandermonde_condition_estimate(roots));
+        obs::record_pole_diagnostics("queueing.mg1_erlang", min_rel_sep);
         throw std::runtime_error(
             "MG1ErlangMixService::full_mgf: confluent poles");
       }
     }
   }
-  obs::record_pole_diagnostics("queueing.mg1_erlang", min_rel_sep,
-                               math::vandermonde_condition_estimate(roots));
+  obs::record_pole_diagnostics("queueing.mg1_erlang", min_rel_sep);
 
   // Residues from the factored form: W = (1-rho) s / g(s);
   // term coefficient c_j = -Res_j / alpha_j = -(1-rho)/g'(alpha_j).

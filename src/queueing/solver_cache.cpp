@@ -48,29 +48,28 @@ struct SolverCache::Impl {
   template <typename V, typename Solve>
   err::Result<std::shared_ptr<const V>> get(CacheMap<V>& map,
                                             const Key& key,
-                                            const char* hit_name,
-                                            const char* miss_name,
+                                            const obs::Counter& hit,
+                                            const obs::Counter& miss,
                                             const Solve& solve) {
     {
       const std::lock_guard<std::mutex> lock(mu);
       const auto it = map.find(key);
       if (it != map.end()) {
         ++hits;
-        obs::MetricsRegistry::global().add_counter(hit_name);
+        hit.add();
         return it->second;
       }
     }
     err::Result<V> solved = solve();
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      ++misses;
-      obs::MetricsRegistry::global().add_counter(miss_name);
+    miss.add();
+    std::shared_ptr<const V> value;
+    if (solved.ok()) {
+      value = std::make_shared<const V>(std::move(solved).take_or_throw());
     }
-    if (!solved.ok()) return solved.error();
-    auto value =
-        std::make_shared<const V>(std::move(solved).take_or_throw());
     const std::lock_guard<std::mutex> lock(mu);
-    const auto [it, inserted] = map.emplace(key, value);
+    ++misses;
+    if (!value) return solved.error();
+    const auto [it, inserted] = map.emplace(key, std::move(value));
     if (inserted) note_entries_locked();
     return it->second;
   }
@@ -125,10 +124,9 @@ err::Result<std::shared_ptr<const GiEk1Solver>> SolverCache::giek1_result(
   }
   const Key key = giek1_key(k, mean_service_s, arrivals);
   const SolverNames& names = solver_names(arrivals);
-  return impl_->get(
-      impl_->giek1, key, names.cache_hits, names.cache_misses, [&] {
-        return GiEk1Solver::create(k, mean_service_s, arrivals);
-      });
+  return impl_->get(impl_->giek1, key, names.hits, names.misses, [&] {
+    return GiEk1Solver::create(k, mean_service_s, arrivals);
+  });
 }
 
 std::shared_ptr<const MD1Solution> SolverCache::md1(double lambda,
@@ -139,9 +137,12 @@ std::shared_ptr<const MD1Solution> SolverCache::md1(double lambda,
 err::Result<std::shared_ptr<const MD1Solution>> SolverCache::md1_result(
     double lambda, double service_s) {
   const Key key{bits(lambda), bits(service_s)};
+  static const obs::Counter kHits =
+      obs::MetricsRegistry::global().counter("queueing.cache.md1.hits");
+  static const obs::Counter kMisses =
+      obs::MetricsRegistry::global().counter("queueing.cache.md1.misses");
   return impl_->get(
-      impl_->md1, key, "queueing.cache.md1.hits",
-      "queueing.cache.md1.misses",
+      impl_->md1, key, kHits, kMisses,
       [&]() -> err::Result<MD1Solution> {
         auto created = MD1::create(lambda, service_s);
         if (!created.ok()) return created.error();

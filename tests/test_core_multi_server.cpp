@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "dist/erlang.h"
+#include "obs/metrics.h"
 #include "queueing/giek1.h"
 #include "queueing/lindley.h"
 
@@ -134,6 +135,29 @@ TEST(MultiServer, AutoFallsBackAtHighTotalOrder) {
   const MultiServerDownstreamModel m{servers, 20e6};
   EXPECT_FALSE(m.exact_wait());
   EXPECT_GT(m.packet_delay_quantile_ms(1e-4), 0.0);
+}
+
+TEST(MultiServer, HeterogeneousPoleSearchStopsAtTheRoundingFloor) {
+  // One big and four small K = 9 servers: an order-18 pole polynomial
+  // with roots spread over |z| in [0.04, 2.3] under a Cauchy radius of
+  // ~4e3. Durand-Kerner's moves never fall below ~1e-11 there; the
+  // iteration must end at the Horner rounding floor, not at its cap.
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset();
+  const double c = 20e6;
+  const double total = 0.5 * c * 0.040 / 8.0;
+  std::vector<GameServerSpec> servers{{40.0, 9, 0.6 * total}};
+  for (int i = 0; i < 4; ++i) servers.push_back({40.0, 9, 0.1 * total});
+  const MultiServerDownstreamModel model{servers, c};
+  EXPECT_NEAR(model.packet_delay_quantile_ms(1e-5), 95.83894021, 1e-6);
+#ifndef FPSQ_NO_METRICS
+  for (const auto& h : reg.snapshot().histograms) {
+    if (h.name == "queueing.mg1_erlang.durand_kerner.iterations") {
+      EXPECT_EQ(h.count, 1u);
+      EXPECT_LT(h.max, 500.0);
+    }
+  }
+#endif
 }
 
 TEST(MultiServer, Guards) {

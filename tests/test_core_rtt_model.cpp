@@ -157,12 +157,13 @@ TEST(RttModel, LargeKKernelsMatchOracleAndExceedTheMean) {
                                            x_total),
                   1e-9)
           << "K=" << k << " rho=" << rho;
-      const double x_down = m.downstream_kernel()->mean();
+      const queueing::TailKernel down = m.downstream_kernel();
+      const double x_down = down.mean();
       const double down_oracle =
           m.burst_wait_dropped()
               ? pos.tail(x_down)
               : queueing::convolved_tail(m.burst_wait_mgf(), pos, x_down);
-      EXPECT_NEAR(m.downstream_kernel()->tail(x_down), down_oracle, 1e-9)
+      EXPECT_NEAR(down.tail(x_down), down_oracle, 1e-9)
           << "K=" << k << " rho=" << rho;
       EXPECT_GT(m.rtt_quantile_ms(1e-5), m.rtt_mean_ms())
           << "K=" << k << " rho=" << rho;

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 
 #include <gtest/gtest.h>
+
+#include "err/error.h"
+#include "obs/metrics.h"
 
 namespace fpsq::math {
 namespace {
@@ -84,6 +88,28 @@ TEST(DurandKerner, RootsOfUnityDegree12) {
     EXPECT_NEAR(std::abs(r), 1.0, 1e-9);
     EXPECT_NEAR(std::abs(poly_eval(p, r)), 0.0, 1e-8);
   }
+}
+
+TEST(DurandKerner, IterationCapIsANonConvergenceFailure) {
+  Poly p = {{1, 0}};
+  for (int r = 1; r <= 8; ++r) {
+    p = poly_mul(p, Poly{{-static_cast<double>(r), 0}, {1, 0}});
+  }
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset();
+  try {
+    (void)durand_kerner(p, 1e-13, 3);
+    FAIL() << "three sweeps cannot resolve eight roots";
+  } catch (const err::SolverFailure& e) {
+    EXPECT_EQ(e.error().code, err::SolverErrorCode::kNonConvergence);
+  }
+#ifndef FPSQ_NO_METRICS
+  std::uint64_t failures = 0;
+  for (const auto& c : reg.snapshot().counters) {
+    if (c.name == "math.durand_kerner.failures") failures = c.value;
+  }
+  EXPECT_EQ(failures, 1u);
+#endif
 }
 
 TEST(DurandKerner, Guards) {

@@ -4,6 +4,8 @@
 // -DFPSQ_NO_METRICS (only the FPSQ_OBS_* macros compile out).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -116,6 +118,60 @@ TEST(ObsMetrics, HistogramBucketGrid) {
     EXPECT_DOUBLE_EQ(Histogram::bucket_upper_bound(i),
                      Histogram::bucket_lower_bound(i + 1))
         << "i=" << i;
+  }
+}
+
+/// The log10/pow bucketing that Histogram::bucket_index replaced with a
+/// search over the reported bounds; every value must keep its bucket.
+int log_linear_bucket(double v) {
+  constexpr int kDecades = Histogram::kDecades;
+  constexpr int kSub = Histogram::kSubBuckets;
+  if (!(v >= 1e-18)) return 0;
+  if (v >= 1e18) return Histogram::kBuckets - 1;
+  int e = static_cast<int>(std::floor(std::log10(v)));
+  e = std::clamp(e, -kDecades / 2 - 1, kDecades / 2);
+  int m = static_cast<int>(v / std::pow(10.0, e));
+  if (m < 1) {
+    m = kSub;
+    --e;
+  } else if (m > kSub) {
+    m = 1;
+    ++e;
+  }
+  if (e < -kDecades / 2) return 0;
+  if (e >= kDecades / 2) return Histogram::kBuckets - 1;
+  int i = 1 + (e + kDecades / 2) * kSub + (m - 1);
+  if (v < Histogram::bucket_lower_bound(i) && i > 1) {
+    --i;
+  } else if (v >= Histogram::bucket_upper_bound(i) &&
+             i < Histogram::kBuckets - 1) {
+    ++i;
+  }
+  return i;
+}
+
+TEST(ObsMetrics, BucketIndexKeepsTheLogLinearBuckets) {
+  std::vector<double> values{0.0, -1.0, 1e-300, 1e-19, 1e-18, 1e18,
+                             std::nextafter(1e18, 0.0), 1e300};
+  // Every reported bound and its neighbouring doubles...
+  for (int i = 0; i < Histogram::kBuckets; ++i) {
+    for (double b : {Histogram::bucket_lower_bound(i),
+                     Histogram::bucket_upper_bound(i)}) {
+      if (!std::isfinite(b)) continue;
+      double lo = b, hi = b;
+      for (int n = 0; n < 4; ++n) {
+        values.push_back(lo);
+        values.push_back(hi);
+        lo = std::nextafter(lo, 0.0);
+        hi = std::nextafter(hi, 1e300);
+      }
+    }
+  }
+  // ...and a dense log sweep across the whole grid.
+  for (double x = 1e-19; x < 2e18; x *= 1.0007) values.push_back(x);
+  for (double v : values) {
+    ASSERT_EQ(Histogram::bucket_index(v), log_linear_bucket(v))
+        << "v=" << v;
   }
 }
 

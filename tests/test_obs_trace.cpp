@@ -32,6 +32,35 @@ class ObsTrace : public ::testing::Test {
   }
 };
 
+TEST(ObsTraceRing, AllocatedOnFirstEnable) {
+  // A process that never traces never pays for the ring.
+  TraceRecorder rec;
+  EXPECT_EQ(rec.capacity(), 0u);
+  TraceEvent ev;
+  ev.name = "test.trace.before";
+  rec.record(ev);  // disabled: dropped, and no ring to write into
+  EXPECT_EQ(rec.recorded_total(), 0u);
+  EXPECT_TRUE(rec.snapshot().empty());
+  rec.set_enabled(true);
+  EXPECT_EQ(rec.capacity(), TraceRecorder::kDefaultCapacity);
+  ev.name = "test.trace.after";
+  rec.record(ev);
+  const auto events = rec.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "test.trace.after");
+  // Re-enabling keeps the ring (and what it holds).
+  rec.set_enabled(false);
+  rec.set_enabled(true);
+  EXPECT_EQ(rec.snapshot().size(), 1u);
+}
+
+TEST(ObsTraceRing, ExplicitCapacityBeforeEnableIsKept) {
+  TraceRecorder rec;
+  rec.set_capacity(100);
+  rec.set_enabled(true);
+  EXPECT_EQ(rec.capacity(), 128u);
+}
+
 TEST_F(ObsTrace, DisabledRecorderIsInert) {
   auto& rec = TraceRecorder::global();
   rec.set_enabled(false);

@@ -1,6 +1,8 @@
 #include "queueing/giek1.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -120,6 +122,101 @@ TEST(GiEk1, LowLoadQuantilesMatchHighPrecisionReference) {
     EXPECT_NEAR(q.wait_quantile(c.epsilon), c.reference_s,
                 1e-7 * c.reference_s)
         << "k=" << c.k << " rho=" << c.rho << " cov=" << c.cov;
+  }
+}
+
+// The paper's own law, D/E_K/1, at low load and at the two extremes of
+// the served range (rho_d >= 0.99, K >= 64). Each reference is a
+// 50-digit mpmath 1.3.0 computation with T = 1 at the exact double
+// parameters below:
+//   1. zeta_j = -rho lambertw(-(1/rho) e^{-1/rho} e^{2 pi i j/K}, 0);
+//   2. the eq.-27 weights a_j = zeta_j^K prod_{l != j} (zeta_l - 1) /
+//      (zeta_l - zeta_j);
+//   3. bisect Re sum_j a_j e^{-beta (1 - zeta_j) x} = epsilon, with
+//      beta = K/rho.
+TEST(GiEk1, DeterministicQuantilesMatchHighPrecisionReference) {
+  struct Case {
+    int k;
+    double rho, epsilon, reference_s;
+  };
+  for (const Case& c :
+       {Case{4, 0.18620643298486506, 4.25628483680968e-07,
+             0.039648023008342517752},
+        Case{3, 0.17170993647539737, 6.132114012725065e-07,
+             0.1259180863254020703},
+        Case{20, 0.4115923756035129, 1.0125566120221947e-07,
+             0.079000754675513025774},
+        Case{32, 0.5567114453745408, 5.770083521484685e-05,
+             0.018726802085859998619},
+        Case{9, 0.993, 1e-05, 90.711077704959528527},
+        Case{64, 0.72, 1e-06, 0.23219629323627869532}}) {
+    const GiEk1Solver q{c.k, c.rho, deterministic_arrivals(1.0)};
+    EXPECT_NEAR(q.wait_quantile(c.epsilon), c.reference_s,
+                1e-10 * c.reference_s)
+        << "k=" << c.k << " rho=" << c.rho;
+  }
+}
+
+TEST(GiEk1, LambertRootsMatchTheSearchedRoots) {
+  // The same eq.-26 map under another name takes the Picard/Newton
+  // search: both paths must find the same roots, index by index (root j
+  // belongs to rotation e^{2 pi i j/K}).
+  ArrivalTransform searched = deterministic_arrivals(1.0);
+  searched.name = "DetSearched";
+  for (int k : {1, 2, 3, 4, 9, 16, 20, 32, 64}) {
+    for (double rho : {0.06, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95}) {
+      const GiEk1Solver closed{k, rho, deterministic_arrivals(1.0)};
+      const GiEk1Solver search{k, rho, searched};
+      ASSERT_EQ(closed.zetas().size(), search.zetas().size());
+      for (std::size_t j = 0; j < closed.zetas().size(); ++j) {
+        EXPECT_LE(std::abs(closed.zetas()[j] - search.zetas()[j]), 1e-13)
+            << "k=" << k << " rho=" << rho << " j=" << j;
+      }
+      EXPECT_EQ(closed.zetas()[0].imag(), 0.0);
+      EXPECT_EQ(closed.degenerate(), search.degenerate());
+    }
+  }
+}
+
+TEST(GiEk1, DeterministicRootsConvergeForEveryStableLoad) {
+  std::vector<int> ks;
+  for (int k = 1; k <= 40; ++k) ks.push_back(k);
+  for (int k : {64, 96, 128, 200, 256, 300, 384, 450, 511, 512}) {
+    ks.push_back(k);
+  }
+  for (int k : ks) {
+    for (double rho : {1e-6, 1e-3, 0.05, 0.2, 0.5, 0.8, 0.99, 0.999,
+                       1.0 - 1e-6, 1.0 - 1e-9, std::nextafter(1.0, 0.0)}) {
+      const auto q = GiEk1Solver::create(k, rho, deterministic_arrivals(1.0));
+      if (q.ok()) {
+        EXPECT_EQ(q.value().zetas()[0].imag(), 0.0);
+        continue;
+      }
+      EXPECT_NE(q.error().code, err::SolverErrorCode::kNonConvergence)
+          << "k=" << k << " rho=" << rho << ": " << q.error().message();
+    }
+  }
+}
+
+TEST(GiEk1, NeighbourDegeneracyTestMatchesAllPairs) {
+  // degenerate() compares rotation neighbours only; the all-pairs
+  // minimum of the relative pole distances must reach the same verdict.
+  for (int k = 1; k <= 64; ++k) {
+    for (double rho = 0.03; rho < 0.99; rho *= 1.07) {
+      const GiEk1Solver q{k, rho, deterministic_arrivals(1.0)};
+      const auto& p = q.poles();
+      double min_rel = 1.0;
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        min_rel = std::min(min_rel, std::abs(p[i] - q.beta()) / q.beta());
+        for (std::size_t j = i + 1; j < p.size(); ++j) {
+          min_rel = std::min(min_rel, std::abs(p[i] - p[j]) /
+                                          std::max(std::abs(p[i]),
+                                                   std::abs(p[j])));
+        }
+      }
+      EXPECT_EQ(q.degenerate(), min_rel <= 10.0 * ErlangMixMgf::kPoleClash)
+          << "k=" << k << " rho=" << rho;
+    }
   }
 }
 

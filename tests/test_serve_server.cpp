@@ -5,6 +5,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -74,6 +76,53 @@ TEST(ServeServer, AnswersEveryAdmittedRequestInOrder) {
     EXPECT_EQ(id_of(lines[i]), "r" + std::to_string(i));
     EXPECT_EQ(error_code_of(lines[i]), "");
   }
+}
+
+TEST(ServeServer, SnapshotCarriesEveryMetricPerfbenchReads) {
+  // perfbench/run.py and its replay read these names and take a missing
+  // one as 0, so a rename would silently zero a benchmark metric.
+#ifdef FPSQ_NO_METRICS
+  GTEST_SKIP() << "metrics compiled out";
+#else
+  ServerOptions opts;
+  opts.max_queue = 4;
+  Server server{opts};
+  auto sink = std::make_shared<CollectSink>();
+  // Queued before start(), so they run as one batch: a duplicate
+  // (dedup), jittered ticks (giek1), an already expired deadline
+  // (timeout), and a fifth line past the admission bound (shed).
+  server.submit_line(R"({"id":"a","op":"rtt","gamers":60})", sink);
+  server.submit_line(R"({"id":"b","op":"rtt","gamers":60})", sink);
+  server.submit_line(
+      R"({"id":"c","op":"rtt","gamers":60,"scenario":{"jitter":0.07}})",
+      sink);
+  server.submit_line(
+      R"({"id":"d","op":"rtt","gamers":70,"deadline_ms":1e-6})", sink);
+  server.submit_line(R"({"id":"e","op":"rtt"})", sink);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  server.start();
+  server.drain();
+  ASSERT_EQ(sink->lines().size(), 5u);
+
+  obs::ensure_baseline_schema();  // as `fpsq serve --metrics-out` does
+  const auto snap = obs::MetricsRegistry::global().snapshot();
+  std::vector<std::string> names;
+  for (const auto& c : snap.counters) names.push_back(c.name);
+  for (const auto& g : snap.gauges) names.push_back(g.name);
+  for (const auto& h : snap.histograms) names.push_back(h.name);
+  for (const char* want :
+       {"queueing.kernel.closed_form_hits", "queueing.kernel.tail_evals",
+        "queueing.kernel.newton_iters", "queueing.cache.dek1.hits",
+        "queueing.cache.dek1.misses", "queueing.cache.giek1.hits",
+        "queueing.cache.giek1.misses", "queueing.cache.entries",
+        "par.pool.busy_s", "par.pool.queue_high_water",
+        "serve.request_latency_ms", "serve.batch_size", "serve.dedup_hits",
+        "serve.queue_depth_peak", "serve.shed", "serve.timeouts",
+        "serve.write_errors"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), want), names.end())
+        << want;
+  }
+#endif
 }
 
 TEST(ServeServer, FullQueueShedsDeterministically) {
