@@ -1,5 +1,5 @@
 // P1 — micro-benchmarks of the analytic machinery (google-benchmark):
-// D/E_K/1 solve cost vs K, Erlang-mix products, stable convolution tails,
+// D/E_K/1 solve cost vs K, the D_u * W product, stable convolution tails,
 // quantile extraction, and the full RttModel construction + query.
 #include <benchmark/benchmark.h>
 
@@ -39,15 +39,17 @@ void BM_DEk1TailEval(benchmark::State& state) {
 }
 BENCHMARK(BM_DEk1TailEval)->Arg(2)->Arg(20);
 
+// The model's own Appendix-A product D_u(s) W(s): a one-pole upstream
+// wait times the K-pole burst wait.
 void BM_MixProduct(benchmark::State& state) {
-  const auto a = ErlangMixMgf::erlang(static_cast<int>(state.range(0)),
-                                      2.0);
-  const auto b = ErlangMixMgf::atom_plus_exponential(0.4, {7.0, 0.0});
+  const GiEk1Solver w{static_cast<int>(state.range(0)), 0.6,
+                      deterministic_arrivals(1.0)};
+  const auto d_u = ErlangMixMgf::atom_plus_exponential(0.4, {7.0, 0.0});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(multiply(a, b));
+    benchmark::DoNotOptimize(multiply(d_u, w.waiting_mgf()));
   }
 }
-BENCHMARK(BM_MixProduct)->Arg(2)->Arg(8)->Arg(19);
+BENCHMARK(BM_MixProduct)->Arg(2)->Arg(20)->Arg(64);
 
 void BM_ConvolvedTail(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

@@ -28,6 +28,8 @@ constexpr double kOracleAbs = 1e-9;  // closed form vs adaptive
 constexpr double kOracleRel = 1e-6;  // quadrature at quad_tol 1e-12
 constexpr double kRoundTripRel = 1e-6;   // tail(quantile(eps)) vs eps,
 constexpr double kRoundTripAbs = 1e-12;  // scaled by eps itself
+constexpr double kBoundRel = 1e-9;    // one-sided quantile relations:
+constexpr double kBoundAbsMs = 1e-9;  // rounding slack (1e-12 s)
 
 /// Tail abscissae probed per law, as multiples of the mean: body,
 /// shoulder, and deep tail where the pole expansions disagree first.
@@ -255,6 +257,8 @@ class PointChecker {
       solver_mismatch(e.error(), "total_quantile", p_.epsilon);
     }
 
+    check_breakdown(m);
+
     const queueing::TailKernel down = m.downstream_kernel();
     for (const double mult : {0.5, 2.0, 8.0}) {
       const double x = mult * std::max(down.mean(), floor_s);
@@ -268,6 +272,50 @@ class PointChecker {
       compare(PathPair::kKernelVsOracle, what, down.tail(x), oracle,
               kOracleAbs, kOracleRel);
     }
+  }
+
+  /// Relations the paper's decomposition implies between the total
+  /// stochastic quantile and the breakdown's component quantiles (D_u
+  /// and W through ErlangMixMgf::quantile, P through
+  /// ErlangMixture::quantile): the total dominates every component, the
+  /// union bound caps it by the components at eps/3, and it grows as
+  /// eps shrinks.
+  void check_breakdown(const core::RttModel& m) {
+    const double eps = p_.epsilon;
+    core::RttModel::Breakdown b;
+    core::RttModel::Breakdown b3;
+    try {
+      b = m.breakdown_ms(eps);
+      b3 = m.breakdown_ms(eps / 3.0);
+    } catch (const err::SolverFailure& e) {
+      solver_mismatch(e.error(), "breakdown", eps);
+      return;
+    }
+    const double total = b.total_ms - b.deterministic_ms;
+    const double total3 = b3.total_ms - b3.deterministic_ms;
+    at_most("upstream_le_total", b.upstream_ms, total);
+    at_most("burst_le_total", b.burst_ms, total);
+    at_most("position_le_total", b.position_ms, total);
+    at_most("total_le_union_bound", total,
+            b3.upstream_ms + b3.burst_ms + b3.position_ms);
+    at_most("total_grows_as_eps_shrinks", total, total3);
+  }
+
+  /// One-sided relation lo <= hi, up to rounding slack.
+  void at_most(const char* what, double lo, double hi) {
+    ++out_.comparisons;
+    const double mag = std::max(std::abs(lo), std::abs(hi));
+    const double tol = kBoundAbsMs + kBoundRel * mag;
+    // Written so a NaN on either side fails.
+    if (lo - hi <= tol) return;
+    Mismatch m = base_mismatch(PathPair::kBreakdownBounds);
+    m.abs_error = std::abs(lo - hi);
+    m.rel_error = mag > 0.0 ? m.abs_error / mag : m.abs_error;
+    m.tolerance = tol;
+    m.detail = describe(p_) + " " + what;
+    append_g(m.detail, "lo_ms", lo);
+    append_g(m.detail, "hi_ms", hi);
+    out_.mismatches.push_back(std::move(m));
   }
 
   /// Serve-vs-cold byte identity on the leading corpus points: batched
@@ -422,6 +470,7 @@ const char* path_pair_name(PathPair pair) noexcept {
     case PathPair::kAnalyticVsSim: return "analytic_vs_sim";
     case PathPair::kServeVsCold: return "serve_vs_cold";
     case PathPair::kSolverHealth: return "solver_health";
+    case PathPair::kBreakdownBounds: return "breakdown_bounds";
   }
   return "?";
 }

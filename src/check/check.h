@@ -20,6 +20,8 @@
 //   analytic_vs_sim    model quantile vs replicated-simulation CI
 //   serve_vs_cold      batched serve response vs cold one-shot (bytes)
 //   solver_health      an admissible point failed to solve (err code)
+//   breakdown_bounds   total vs component quantiles (dominance, union
+//                      bound, monotone in epsilon)
 //
 // Determinism contract: run_check() evaluates points with
 // par::parallel_map and aggregates in index order, every point derives
@@ -43,6 +45,7 @@ enum class PathPair {
   kAnalyticVsSim,
   kServeVsCold,
   kSolverHealth,
+  kBreakdownBounds,
 };
 
 /// Stable wire/report name ("kernel_vs_mgf", ...).

@@ -116,10 +116,10 @@ std::optional<err::SolverError> RttModel::init(
   // simple-pole product below.
   if (!up.terms().empty()) {
     const double atom = up.constant_term();
-    const auto coeff = up.terms().front().coeff.front();
+    const Complex coeff = up.terms().front().coeff;
     Complex gamma = up.terms().front().theta;
     gamma = decollide(gamma, burst_wait_mgf());
-    up = ErlangMixMgf{atom, {{gamma, {coeff}}}};
+    up = ErlangMixMgf{atom, {{gamma, coeff}}};
   }
   upstream_ = std::move(up);
 
@@ -209,7 +209,7 @@ double RttModel::stochastic_quantile_ms(double epsilon,
         // Upstream pole gamma dominant: residue rho_u-ish times the other
         // factors at gamma.
         const Complex g{up_pole, 0.0};
-        const Complex c = upstream_.terms().front().coeff.front();
+        const Complex c = upstream_.terms().front().coeff;
         Complex rest = position_->mgf(g);
         if (!burst_dropped_) rest *= burst_wait_mgf().value(g);
         residue = (c * rest).real();

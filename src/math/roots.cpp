@@ -144,6 +144,9 @@ RootResult newton_safe_impl(const std::function<double(double)>& f,
     throw BracketError("newton_safe: bracket does not change sign");
   }
   double x = std::clamp(x0, a, b);
+  // Last step taken, for the rtsafe guard below (Numerical Recipes
+  // §9.4); the bracket width before any step.
+  double dx_old = b - a;
   RootResult r;
   for (int i = 0; i < max_iter; ++i) {
     r.iterations = i + 1;
@@ -173,6 +176,11 @@ RootResult newton_safe_impl(const std::function<double(double)>& f,
           return r;
         }
         x_next = 0.5 * (a + b);  // Newton escaped the bracket: bisect
+      } else if (std::abs(2.0 * fx) > std::abs(dx_old * dfx)) {
+        // The step is not half the previous one: Newton is not
+        // converging (e.g. a 2-cycle across the steep-to-shallow knee
+        // of a two-mode tail), so bisect.
+        x_next = 0.5 * (a + b);
       }
     } else {
       x_next = 0.5 * (a + b);
@@ -183,6 +191,7 @@ RootResult newton_safe_impl(const std::function<double(double)>& f,
       r.converged = true;
       return r;
     }
+    dx_old = x_next - x;
     x = x_next;
   }
   r.root = x;

@@ -49,7 +49,8 @@ class BracketError : public std::invalid_argument {
 
 /// Newton iteration with bisection fallback inside a safety bracket.
 /// `df` is the derivative. Falls back to bisection steps whenever the
-/// Newton step leaves [a, b] or fails to reduce |f|.
+/// Newton step leaves [a, b] or is not half the previous step (the
+/// rtsafe guard, so Newton cannot cycle inside the bracket).
 [[nodiscard]] RootResult newton_safe(const std::function<double(double)>& f,
                                      const std::function<double(double)>& df,
                                      double a, double b, double x0,

@@ -13,16 +13,13 @@ namespace fpsq::queueing {
 
 namespace {
 
-/// Characteristic width of V's density: the slowest pole-group decay
-/// max_j m_j / Re(theta_j). f_V is negligible beyond a few multiples.
+/// Characteristic width of V's density: the slowest pole decay
+/// max_j 1 / Re(theta_j). f_V is negligible beyond a few multiples.
 double density_scale(const ErlangMixMgf& v) {
   double scale = 0.0;
   for (const auto& t : v.terms()) {
     const double re = t.theta.real();
-    if (re > 0.0) {
-      scale = std::max(scale,
-                       static_cast<double>(t.coeff.size()) / re);
-    }
+    if (re > 0.0) scale = std::max(scale, 1.0 / re);
   }
   return scale;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "math/kahan.h"
@@ -17,9 +16,6 @@ void check_poles(const std::vector<ErlangMixMgf::PoleTerm>& terms) {
     if (!(t.theta.real() > 0.0)) {
       throw std::invalid_argument(
           "ErlangMixMgf: poles must have positive real part");
-    }
-    if (t.coeff.empty()) {
-      throw std::invalid_argument("ErlangMixMgf: empty coefficient list");
     }
   }
 }
@@ -38,15 +34,6 @@ void check_terms(const std::vector<ErlangMixMgf::PoleTerm>& terms) {
   }
 }
 
-/// Rising factorial m (m+1) ... (m+n-1); 1 for n == 0.
-double rising(int m, int n) {
-  double r = 1.0;
-  for (int i = 0; i < n; ++i) {
-    r *= static_cast<double>(m + i);
-  }
-  return r;
-}
-
 }  // namespace
 
 ErlangMixMgf::ErlangMixMgf() = default;
@@ -63,54 +50,19 @@ ErlangMixMgf::ErlangMixMgf(double constant, std::vector<PoleTerm> terms,
 }
 
 ErlangMixMgf ErlangMixMgf::atom_plus_exponential(double atom, Complex theta) {
-  std::vector<PoleTerm> terms;
-  terms.push_back({theta, {Complex{1.0 - atom, 0.0}}});
-  return ErlangMixMgf{atom, std::move(terms)};
-}
-
-ErlangMixMgf ErlangMixMgf::erlang(int m, double theta) {
-  if (m < 1 || !(theta > 0.0)) {
-    throw std::invalid_argument("ErlangMixMgf::erlang: m >= 1, theta > 0");
-  }
-  std::vector<PoleTerm> terms(1);
-  terms[0].theta = Complex{theta, 0.0};
-  terms[0].coeff.assign(static_cast<std::size_t>(m), Complex{0.0, 0.0});
-  terms[0].coeff.back() = Complex{1.0, 0.0};
-  return ErlangMixMgf{0.0, std::move(terms)};
+  return ErlangMixMgf{atom, {{theta, Complex{1.0 - atom, 0.0}}}};
 }
 
 Complex ErlangMixMgf::value(Complex s) const {
   Complex acc{constant_, 0.0};
   for (const auto& t : terms_) {
-    const Complex base = t.theta / (t.theta - s);
-    Complex power = base;
-    for (std::size_t m = 0; m < t.coeff.size(); ++m) {
-      acc += t.coeff[m] * power;
-      power *= base;
-    }
+    acc += t.coeff * (t.theta / (t.theta - s));
   }
   return acc;
 }
 
 double ErlangMixMgf::value_real(double s) const {
   return value(Complex{s, 0.0}).real();
-}
-
-Complex ErlangMixMgf::derivative(int n, Complex s) const {
-  if (n < 0) {
-    throw std::invalid_argument("ErlangMixMgf::derivative: n >= 0");
-  }
-  if (n == 0) return value(s);
-  Complex acc{0.0, 0.0};
-  for (const auto& t : terms_) {
-    for (std::size_t mi = 0; mi < t.coeff.size(); ++mi) {
-      const int m = static_cast<int>(mi) + 1;
-      // d^n/ds^n (theta - s)^{-m} = rising(m, n) (theta - s)^{-(m+n)}
-      const Complex denom = std::pow(t.theta - s, m + n);
-      acc += t.coeff[mi] * std::pow(t.theta, m) * rising(m, n) / denom;
-    }
-  }
-  return acc;
 }
 
 double ErlangMixMgf::tail(double x) const {
@@ -125,16 +77,7 @@ double ErlangMixMgf::tail(double x) const {
     const Complex tx = t.theta * x;
     // Guard: with Re(theta x) this deep the whole term has underflowed.
     if (tx.real() > 745.0) continue;
-    // term_l = e^{-theta x} (theta x)^l / l!, accumulated by recurrence so
-    // magnitudes stay tame for the oscillatory (complex-pole) case.
-    Complex term = std::exp(-tx);
-    Complex partial = term;  // sum_{l<=0}
-    // coeff[m-1] needs sum_{l<m}; walk m upward reusing the partial sum.
-    for (std::size_t mi = 0; mi < t.coeff.size(); ++mi) {
-      acc.add((t.coeff[mi] * partial).real());
-      term *= tx / static_cast<double>(mi + 1);
-      partial += term;
-    }
+    acc.add((t.coeff * std::exp(-tx)).real());
   }
   return acc.value();
 }
@@ -145,12 +88,7 @@ double ErlangMixMgf::density(double x) const {
   for (const auto& t : terms_) {
     const Complex tx = t.theta * x;
     if (tx.real() > 745.0) continue;
-    // term_m = theta^m x^{m-1} e^{-theta x}/(m-1)!; built by recurrence.
-    Complex term = t.theta * std::exp(-tx);
-    for (std::size_t mi = 0; mi < t.coeff.size(); ++mi) {
-      acc.add((t.coeff[mi] * term).real());
-      term *= tx / static_cast<double>(mi + 1);
-    }
+    acc.add((t.coeff * (t.theta * std::exp(-tx))).real());
   }
   return acc.value();
 }
@@ -177,7 +115,9 @@ double ErlangMixMgf::quantile(double epsilon) const {
 }
 
 double ErlangMixMgf::mean() const {
-  return derivative(1, Complex{0.0, 0.0}).real();
+  double acc = 0.0;
+  for (const auto& t : terms_) acc += (t.coeff / t.theta).real();
+  return acc;
 }
 
 double ErlangMixMgf::total_mass() const { return value_real(0.0); }
@@ -193,19 +133,6 @@ Complex ErlangMixMgf::dominant_pole() const {
   return it->theta;
 }
 
-ErlangMixMgf ErlangMixMgf::dominant_pole_approximation() const {
-  const Complex dom = dominant_pole();
-  std::vector<PoleTerm> kept;
-  for (const auto& t : terms_) {
-    // Keep the dominant pole and its conjugate partner (same real part).
-    if (std::abs(t.theta.real() - dom.real()) <=
-        kPoleClash * std::abs(dom.real()) + 1e-300) {
-      kept.push_back(t);
-    }
-  }
-  return ErlangMixMgf{constant_, std::move(kept)};
-}
-
 ErlangMixMgf multiply(const ErlangMixMgf& a, const ErlangMixMgf& b) {
   // Cross-factor pole disjointness.
   for (const auto& ta : a.terms()) {
@@ -219,40 +146,16 @@ ErlangMixMgf multiply(const ErlangMixMgf& a, const ErlangMixMgf& b) {
     }
   }
 
+  // Appendix A for simple poles: the coefficient at a pole theta of one
+  // factor is its own coefficient times the other factor's value there.
   std::vector<ErlangMixMgf::PoleTerm> out_terms;
-  // Principal part at each pole of one factor = its own principal part
-  // convolved with the Taylor expansion of the *other* factor there
-  // (Appendix A): with B(s) = sum_l b_l (s - theta)^l,
-  //   new_coeff_q = sum_{m >= q} c_m (-1)^{m-q} b_{m-q} theta^{m-q}.
-  const auto contribute = [&out_terms](const ErlangMixMgf::PoleTerm& t,
-                                       const ErlangMixMgf& other) {
-    const int big_m = static_cast<int>(t.coeff.size());
-    // Taylor coefficients of the other factor at this pole.
-    std::vector<Complex> b(static_cast<std::size_t>(big_m));
-    double factorial = 1.0;
-    for (int l = 0; l < big_m; ++l) {
-      if (l > 0) factorial *= static_cast<double>(l);
-      b[static_cast<std::size_t>(l)] =
-          other.derivative(l, t.theta) / factorial;
-    }
-    ErlangMixMgf::PoleTerm nt;
-    nt.theta = t.theta;
-    nt.coeff.assign(t.coeff.size(), Complex{0.0, 0.0});
-    for (int q = 1; q <= big_m; ++q) {
-      Complex acc{0.0, 0.0};
-      Complex sign_pow{1.0, 0.0};  // (-1)^{m-q} theta^{m-q}
-      for (int m = q; m <= big_m; ++m) {
-        acc += t.coeff[static_cast<std::size_t>(m - 1)] * sign_pow *
-               b[static_cast<std::size_t>(m - q)];
-        sign_pow *= -t.theta;
-      }
-      nt.coeff[static_cast<std::size_t>(q - 1)] = acc;
-    }
-    out_terms.push_back(std::move(nt));
-  };
-
-  for (const auto& t : a.terms()) contribute(t, b);
-  for (const auto& t : b.terms()) contribute(t, a);
+  out_terms.reserve(a.terms().size() + b.terms().size());
+  for (const auto& t : a.terms()) {
+    out_terms.push_back({t.theta, t.coeff * b.value(t.theta)});
+  }
+  for (const auto& t : b.terms()) {
+    out_terms.push_back({t.theta, t.coeff * a.value(t.theta)});
+  }
 
   // Poles within a factor were separated when it was built, and the
   // cross pairs were checked above.

@@ -1,15 +1,18 @@
-// Sum-of-Erlang-terms representation of moment generating functions — the
-// algebra behind Section 3.3 / Appendix A of the paper.
+// Sum-of-exponential-terms representation of moment generating functions
+// — the algebra behind Section 3.3 / Appendix A of the paper.
 //
 // A delay MGF here has the form
-//     F(s) = c0 + sum_over_poles sum_{m=1}^{M_theta}
-//                 c_{theta,m} * (theta / (theta - s))^m ,
+//     F(s) = c0 + sum_over_poles c_theta * theta / (theta - s),
 // i.e. a constant (atom at zero) plus signed, possibly complex-weighted
-// Erlang components. This family is closed under products with disjoint
-// pole sets (Appendix A) and inverts explicitly:
-//     contribution of c*(theta/(theta-s))^m to P(X > x)  is
-//     c * e^{-theta x} * sum_{l < m} (theta x)^l / l! .
-// Complex poles appear in conjugate pairs, so tails are real.
+// exponential components with simple poles. This family is closed under
+// products with disjoint pole sets (Appendix A: the coefficient at a pole
+// of one factor is c_theta times the other factor's value at theta) and
+// inverts explicitly:
+//     contribution of c * theta / (theta - s) to P(X > x)  is
+//     c * e^{-theta x} .
+// Complex poles appear in conjugate pairs, so tails are real. Laws with
+// a pole of higher order (the Erlang position delay) are ErlangMixture
+// (queueing/position_delay.h).
 #pragma once
 
 #include <complex>
@@ -23,10 +26,10 @@ class GiEk1Solver;
 
 class ErlangMixMgf {
  public:
-  /// All Erlang components sharing one pole location.
+  /// One simple pole: coeff multiplies theta / (theta - s).
   struct PoleTerm {
-    Complex theta;                ///< pole, Re(theta) > 0
-    std::vector<Complex> coeff;   ///< coeff[m-1] multiplies (theta/(theta-s))^m
+    Complex theta;  ///< pole, Re(theta) > 0
+    Complex coeff;
   };
 
   /// Degenerate MGF of the zero random variable (F == 1).
@@ -41,9 +44,6 @@ class ErlangMixMgf {
   [[nodiscard]] static ErlangMixMgf atom_plus_exponential(double atom,
                                                           Complex theta);
 
-  /// Pure Erlang(m, theta): F(s) = (theta/(theta-s))^m.
-  [[nodiscard]] static ErlangMixMgf erlang(int m, double theta);
-
   // ---- evaluation ------------------------------------------------------
 
   /// F(s) at a complex point (s must avoid the poles).
@@ -52,9 +52,6 @@ class ErlangMixMgf {
   /// F(s) at a real point; the imaginary parts of conjugate terms cancel.
   [[nodiscard]] double value_real(double s) const;
 
-  /// n-th derivative of F at s (n >= 0), in closed form.
-  [[nodiscard]] Complex derivative(int n, Complex s) const;
-
   // ---- probabilistic queries ------------------------------------------
 
   /// P(X > x) for x > 0 by explicit inversion; for x <= 0 returns
@@ -62,14 +59,14 @@ class ErlangMixMgf {
   [[nodiscard]] double tail(double x) const;
 
   /// Density of the absolutely-continuous part at x > 0 (excludes the
-  /// atom at zero): sum of c * theta^m x^{m-1} e^{-theta x} / (m-1)!.
+  /// atom at zero): sum of c * theta * e^{-theta x}.
   [[nodiscard]] double density(double x) const;
 
   /// Smallest x >= 0 with tail(x) <= epsilon (the epsilon-quantile of the
   /// delay, e.g. epsilon = 1e-5 for the paper's 99.999% quantiles).
   [[nodiscard]] double quantile(double epsilon) const;
 
-  /// E[X] = F'(0).
+  /// E[X] = F'(0) = sum of Re(c / theta).
   [[nodiscard]] double mean() const;
 
   /// F(0); equals 1 for a proper probability distribution.
@@ -85,10 +82,6 @@ class ErlangMixMgf {
   /// Pole with the smallest real part — the dominant (slowest-decaying)
   /// exponential mode of the tail. Throws if there are no poles.
   [[nodiscard]] Complex dominant_pole() const;
-
-  /// Keeps only the constant and the dominant pole's terms (plus its
-  /// conjugate partner) — the paper's "method of the dominant pole".
-  [[nodiscard]] ErlangMixMgf dominant_pole_approximation() const;
 
   /// Relative pole-distance threshold below which products are refused.
   static constexpr double kPoleClash = 1e-9;

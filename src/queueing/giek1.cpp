@@ -293,7 +293,7 @@ std::optional<err::SolverError> GiEk1Solver::init(
   terms.reserve(n);
   for (std::size_t j = 0; j < n; ++j) {
     wsum += weights_[j];
-    terms.push_back({poles_[j], {weights_[j]}});
+    terms.push_back({poles_[j], weights_[j]});
   }
   const double atom = 1.0 - wsum.real();
   if (!(atom > -1e-9 && atom < 1.0 + 1e-9)) {

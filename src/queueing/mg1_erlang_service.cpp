@@ -282,7 +282,7 @@ ErlangMixMgf MG1ErlangMixService::full_mgf() const {
   for (const auto& alpha : roots) {
     const Complex c = -(1.0 - rho_) / gp(alpha);
     coeff_sum += c;
-    terms.push_back({alpha, {c}});
+    terms.push_back({alpha, c});
   }
   const double atom = 1.0 - coeff_sum.real();
   ErlangMixMgf out{atom, std::move(terms)};

@@ -97,27 +97,16 @@ double ErlangMixture::quantile(double epsilon) const {
       "queueing.position_delay");
 }
 
-ErlangMixMgf position_delay_fixed(int k, double beta, double theta) {
+ErlangMixture position_delay_fixed(int k, double beta, double theta) {
   if (k < 1 || !(beta > 0.0)) {
     throw std::invalid_argument("position_delay_fixed: k >= 1, beta > 0");
   }
   if (!(theta > 0.0 && theta <= 1.0)) {
     throw std::invalid_argument("position_delay_fixed: theta in (0, 1]");
   }
-  return ErlangMixMgf::erlang(k, beta / theta);
-}
-
-ErlangMixMgf position_delay_uniform(int k, double beta) {
-  if (k < 2 || !(beta > 0.0)) {
-    throw std::invalid_argument(
-        "position_delay_uniform: k >= 2, beta > 0 (K = 1 is a branch "
-        "point, eq. 33)");
-  }
-  ErlangMixMgf::PoleTerm term;
-  term.theta = Complex{beta, 0.0};
-  term.coeff.assign(static_cast<std::size_t>(k - 1),
-                    Complex{1.0 / static_cast<double>(k - 1), 0.0});
-  return ErlangMixMgf{0.0, {std::move(term)}};
+  std::vector<double> w(static_cast<std::size_t>(k), 0.0);
+  w.back() = 1.0;
+  return ErlangMixture{beta / theta, std::move(w)};
 }
 
 ErlangMixture position_delay_uniform_mixture(int k, double beta) {

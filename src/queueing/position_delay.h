@@ -16,11 +16,11 @@
 
 namespace fpsq::queueing {
 
-/// A probability mixture of Erlang(j, beta) laws, j = 1..J. This is the
-/// numerically robust twin of the ErlangMixMgf form of the position
-/// delay: tails are sums of *positive* regularized-gamma terms, immune to
-/// the cancellation that partial fractions suffer when other poles sit
-/// close to beta (see queueing/convolution.h).
+/// A probability mixture of Erlang(j, beta) laws, j = 1..J: the one
+/// representation of an Erlang law of order > 1 (ErlangMixMgf keeps
+/// simple poles only). Tails are sums of *positive* regularized-gamma
+/// terms, immune to the cancellation that partial fractions suffer when
+/// other poles sit close to beta (see queueing/convolution.h).
 class ErlangMixture {
  public:
   /// weights[j-1] is the probability of the Erlang(j, beta) component;
@@ -43,15 +43,13 @@ class ErlangMixture {
   std::vector<double> weights_;
 };
 
-/// Eq. (32): packet always at burst fraction theta in (0, 1].
-[[nodiscard]] ErlangMixMgf position_delay_fixed(int k, double beta,
-                                                double theta);
+/// Eq. (32): packet always at burst fraction theta in (0, 1]; the
+/// Erlang(K, beta/theta) law as a one-component mixture.
+[[nodiscard]] ErlangMixture position_delay_fixed(int k, double beta,
+                                                 double theta);
 
-/// Eq. (34): packet uniformly placed; requires k >= 2.
-[[nodiscard]] ErlangMixMgf position_delay_uniform(int k, double beta);
-
-/// Eq. (34) as a robust Erlang mixture (same law as
-/// position_delay_uniform): Erlang(j, beta), j = 1..K-1, weights 1/(K-1).
+/// Eq. (34): packet uniformly placed; requires k >= 2. Erlang(j, beta),
+/// j = 1..K-1, weights 1/(K-1).
 [[nodiscard]] ErlangMixture position_delay_uniform_mixture(int k,
                                                            double beta);
 

@@ -57,13 +57,6 @@ double poisson_sum(const double* c, std::uint32_t n, double lambda) {
   return acc;
 }
 
-/// Horner evaluation of coeffs[0..n) (ascending powers) at x.
-inline double horner(const double* coeffs, std::uint32_t n, double x) {
-  double acc = 0.0;
-  for (std::uint32_t i = n; i-- > 0;) acc = acc * x + coeffs[i];
-  return acc;
-}
-
 }  // namespace
 
 TailKernel::TailKernel(const ErlangMixMgf& v) {
@@ -71,9 +64,23 @@ TailKernel::TailKernel(const ErlangMixMgf& v) {
 }
 
 TailKernel::TailKernel(const ErlangMixture& y) {
-  const auto& w = y.weights();
-  compile(0.0, {{Complex{y.beta(), 0.0}, {w.begin(), w.end()}}});
+  // One real group at beta: P(Y > x) = sum_l s_l p_l(beta x) with suffix
+  // sums s_l = sum_{j>l} w_j, and density sum_l beta w_l p_l(beta x).
+  const double beta = y.beta();
+  const std::vector<double>& w = y.weights();
+  real_decay_.push_back(beta);
+  real_off_.push_back(0);
+  real_len_.push_back(static_cast<std::uint32_t>(w.size()));
+  real_tail_.resize(w.size());
+  double run = 0.0;
+  for (std::size_t l = w.size(); l-- > 0;) {
+    run += w[l];
+    real_tail_[l] = run;
+  }
+  for (const double wl : w) real_dens_.push_back(beta * wl);
+  atom_ = 0.0;
   mean_ = y.mean();
+  bracket_scale_ = 1.0 / beta;
 }
 
 TailKernel::TailKernel(const ErlangMixMgf& v, const ErlangMixture& y) {
@@ -94,10 +101,7 @@ TailKernel::TailKernel(const ErlangMixMgf& v, const ErlangMixture& y) {
   double v_total = v.constant_term();  // V(0)
   double v_mean = 0.0;
   for (const auto& t : v.terms()) {
-    if (t.coeff.size() != 1) {
-      throw std::invalid_argument("TailKernel: V must have simple poles");
-    }
-    const Complex c = t.coeff.front();
+    const Complex c = t.coeff;
     v_total += c.real();
     v_mean += (c / t.theta).real();
     const Complex zeta = 1.0 - t.theta / beta;
@@ -113,7 +117,7 @@ TailKernel::TailKernel(const ErlangMixMgf& v, const ErlangMixture& y) {
       t_l = (w[l] + t_l) / zeta;
       h[l] -= (c * t_l).real();
     }
-    closed.push_back({t.theta, {c * t_l}});
+    closed.push_back({t.theta, c * t_l});
   }
   if (!series.empty()) {
     // g_l = sum_{j<=min(l,J)} w_j zeta^{l-j} decays as zeta^{l-J} past J.
@@ -162,12 +166,8 @@ void TailKernel::compile(double constant,
   for (const auto& t : terms) {
     const double a = t.theta.real();
     const double b = t.theta.imag();
-    const std::size_t big_m = t.coeff.size();
     min_decay = std::min(min_decay, a);
-    for (std::size_t l = 0; l < big_m; ++l) {
-      // E[Erlang(m, theta)] = m / theta.
-      mean_ += (t.coeff[l] / t.theta).real() * static_cast<double>(l + 1);
-    }
+    mean_ += (t.coeff / t.theta).real();  // E[Exp(theta)] = 1 / theta
 
     const bool is_real = std::abs(b) <= kRealPoleTol * std::abs(t.theta);
     if (!is_real && b < 0.0) {
@@ -176,43 +176,24 @@ void TailKernel::compile(double constant,
       continue;
     }
 
-    // Tail: sum_m c_m P(Erlang(m, theta) > x) = sum_l s_l p_l(theta x),
-    // s_l = sum_{m>l} c_m. Density: sum_l theta c_{l+1} p_l(theta x).
-    std::vector<Complex> suffix(big_m);
-    Complex run{0.0, 0.0};
-    for (std::size_t l = big_m; l-- > 0;) {
-      run += t.coeff[l];
-      suffix[l] = run;
-    }
-
+    // Tail c e^{-theta x}, density theta c e^{-theta x}.
+    const Complex d = t.theta * t.coeff;
     if (is_real) {
       real_decay_.push_back(a);
       real_off_.push_back(static_cast<std::uint32_t>(real_tail_.size()));
-      real_len_.push_back(static_cast<std::uint32_t>(big_m));
-      for (std::size_t l = 0; l < big_m; ++l) {
-        real_tail_.push_back(suffix[l].real());
-        real_dens_.push_back((t.theta * t.coeff[l]).real());
-      }
+      real_len_.push_back(1);
+      real_tail_.push_back(t.coeff.real());
+      real_dens_.push_back(d.real());
     } else {
       // Pair contribution (theta and conjugate, coefficients conjugate):
-      //   2 Re(e^{-theta x} p(x)) =
-      //   e^{-a x} [cos(b x) 2 Re p(x) + sin(b x) 2 Im p(x)],
-      // with tail polynomial q_l = (theta^l / l!) s_l and density
-      // polynomial d_l = (theta^{l+1} / l!) c_{l+1}.
+      //   2 Re(c e^{-theta x}) =
+      //   e^{-a x} [cos(b x) 2 Re c + sin(b x) 2 Im c].
       cplx_decay_.push_back(a);
       cplx_freq_.push_back(b);
-      cplx_off_.push_back(static_cast<std::uint32_t>(cplx_tail_cos_.size()));
-      cplx_len_.push_back(static_cast<std::uint32_t>(big_m));
-      Complex theta_pow{1.0, 0.0};  // theta^l / l!
-      for (std::size_t l = 0; l < big_m; ++l) {
-        const Complex q = theta_pow * suffix[l];
-        const Complex d = theta_pow * t.theta * t.coeff[l];
-        cplx_tail_cos_.push_back(2.0 * q.real());
-        cplx_tail_sin_.push_back(2.0 * q.imag());
-        cplx_dens_cos_.push_back(2.0 * d.real());
-        cplx_dens_sin_.push_back(2.0 * d.imag());
-        theta_pow *= t.theta / static_cast<double>(l + 1);
-      }
+      cplx_tail_cos_.push_back(2.0 * t.coeff.real());
+      cplx_tail_sin_.push_back(2.0 * t.coeff.imag());
+      cplx_dens_cos_.push_back(2.0 * d.real());
+      cplx_dens_sin_.push_back(2.0 * d.imag());
     }
   }
 
@@ -238,11 +219,8 @@ double TailKernel::evaluate(double x, const std::vector<double>& real,
     const double ax = cplx_decay_[g] * x;
     if (ax > kExpUnderflow) continue;
     const double bx = cplx_freq_[g] * x;
-    const std::uint32_t off = cplx_off_[g];
-    const std::uint32_t len = cplx_len_[g];
     acc.add(std::exp(-ax) *
-            (std::cos(bx) * horner(cplx_cos.data() + off, len, x) +
-             std::sin(bx) * horner(cplx_sin.data() + off, len, x)));
+            (std::cos(bx) * cplx_cos[g] + std::sin(bx) * cplx_sin[g]));
   }
   return acc.value();
 }

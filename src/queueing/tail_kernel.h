@@ -7,14 +7,16 @@
 // does the algebra once at construction and leaves only real arithmetic
 // in the hot path:
 //
-//  * the pole/coefficient lists are flattened into struct-of-arrays form.
-//    A real pole group at rate theta is the Poisson-weighted sum
+//  * the simple poles are flattened into struct-of-arrays form. A real
+//    pole is a one-term real group; a real group at rate theta is the
+//    Poisson-weighted sum
 //        sum_l coef_l P(Poisson(theta x) = l),
 //    whose weights start at the mode in log space, so no theta^l / l! is
-//    ever formed and long groups (K up to 512) neither overflow nor lose
-//    the deep tail. Each conjugate pole pair folds into one real group
-//        e^{-a x} [cos(b x) * C(x) + sin(b x) * S(x)]
-//    (C, S real polynomials evaluated by Horner);
+//    ever formed and long groups (the Erlang mixture at beta, K up to
+//    512) neither overflow nor lose the deep tail. Each conjugate pole
+//    pair folds into one real term
+//        e^{-a x} [cos(b x) * C + sin(b x) * S]
+//    with constants C, S;
 //  * the position delay Y = sum_j w_j Erlang(j, beta) is convolved
 //    exactly with the simple poles of V: each pole theta = beta (1 - zeta)
 //    contributes either one exponential term (closed form) or, when the
@@ -50,7 +52,6 @@ class TailKernel {
   explicit TailKernel(const ErlangMixture& y);
 
   /// Kernel over V + Y (independent), exact for every pole placement.
-  /// @throws std::invalid_argument when a pole of V is not simple
   TailKernel(const ErlangMixMgf& v, const ErlangMixture& y);
 
   // ---- hot-path queries --------------------------------------------------
@@ -100,11 +101,9 @@ class TailKernel {
   std::vector<double> real_tail_;
   std::vector<double> real_dens_;
 
-  // Conjugate-pair groups (one per pair, folded to cos/sin form).
+  // Conjugate pairs (one term per pair, folded to cos/sin form).
   std::vector<double> cplx_decay_;
   std::vector<double> cplx_freq_;
-  std::vector<std::uint32_t> cplx_off_;
-  std::vector<std::uint32_t> cplx_len_;
   std::vector<double> cplx_tail_cos_;
   std::vector<double> cplx_tail_sin_;
   std::vector<double> cplx_dens_cos_;

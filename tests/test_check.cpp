@@ -15,7 +15,9 @@
 
 #include "check/check.h"
 #include "check/generator.h"
+#include "core/rtt_model.h"
 #include "err/fault_injection.h"
+#include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "queueing/giek1.h"
 #include "queueing/inversion.h"
@@ -198,6 +200,38 @@ TEST_F(CheckTest, BracketExpansionHandlesMultiModeTails) {
     const double q = fpsq::queueing::invert_tail_newton(
         tail, density, eps, scale, "test.multimode");
     EXPECT_NEAR(tail(q), eps, eps * 1e-6) << "eps=" << eps;
+  }
+}
+
+TEST_F(CheckTest, NewtonDoesNotCycleOnTwoModeTails) {
+  // Corpus points where the steep position mode meets the shallow
+  // upstream tail. Unguarded Newton alternated across the knee (seed 3,
+  // point 1960 at eps/3: 1.09e-5 <-> 3.43e-5 s around a root at
+  // 2.38e-5 s) until its 60-step cap and answered non_convergence.
+  struct Case {
+    std::uint64_t seed;
+    std::size_t index;
+    double eps_divisor;
+  };
+  for (const Case c : {Case{16, 245, 1.0}, Case{3, 1960, 3.0}}) {
+    const CheckPoint p = sample_point(c.seed, c.index);
+    auto model = fpsq::core::RttModel::create(p.scenario, p.n_clients);
+    ASSERT_TRUE(model.ok()) << "seed=" << c.seed << " point=" << c.index;
+    auto& reg = fpsq::obs::MetricsRegistry::global();
+    reg.reset();
+    const double q =
+        model.value().stochastic_quantile_ms(p.epsilon / c.eps_divisor);
+    EXPECT_TRUE(std::isfinite(q) && q > 0.0)
+        << "seed=" << c.seed << " point=" << c.index;
+#ifndef FPSQ_NO_METRICS
+    bool seen = false;
+    for (const auto& h : reg.snapshot().histograms) {
+      if (h.name != "queueing.kernel.newton_iters") continue;
+      seen = h.count > 0;
+      EXPECT_LE(h.max, 12.0) << "seed=" << c.seed << " point=" << c.index;
+    }
+    EXPECT_TRUE(seen);
+#endif
   }
 }
 

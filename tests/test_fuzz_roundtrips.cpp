@@ -99,10 +99,10 @@ TEST(FuzzErlangMix, RandomProductsPreserveMassAndMean) {
     const int factors = 2 + static_cast<int>(rng.uniform_int(4));
     double theta = 0.5 + rng.uniform01();
     for (int f = 0; f < factors; ++f) {
-      const int m = 1 + static_cast<int>(rng.uniform_int(4));
       if (rng.uniform01() < 0.5) {
-        acc = multiply(acc, ErlangMixMgf::erlang(m, theta));
-        mean += m / theta;
+        acc = multiply(acc, ErlangMixMgf::atom_plus_exponential(
+                                0.0, {theta, 0.0}));
+        mean += 1.0 / theta;
       } else {
         const double atom = rng.uniform01() * 0.9;
         acc = multiply(acc, ErlangMixMgf::atom_plus_exponential(

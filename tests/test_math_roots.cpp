@@ -93,6 +93,18 @@ TEST(NewtonSafe, FallsBackWhenDerivativeVanishes) {
   EXPECT_NEAR(r.root, 1.0, 1e-10);
 }
 
+TEST(NewtonSafe, BisectsOutOfATwoCycle) {
+  // Newton on atan started near 1.3917452 alternates between +-x0, each
+  // step landing just inside the shrinking bracket; only the rtsafe
+  // guard (bisect unless the step halves) breaks the cycle promptly.
+  const auto r = newton_safe([](double x) { return std::atan(x); },
+                             [](double x) { return 1.0 / (1.0 + x * x); },
+                             -1.5, 1.5, 1.3917452);
+  EXPECT_TRUE(r.converged);
+  EXPECT_NEAR(r.root, 0.0, 1e-12);
+  EXPECT_LE(r.iterations, 8);
+}
+
 // Property sweep: brent solves e^{ax} = b over a parameter grid.
 class BrentSweep : public ::testing::TestWithParam<std::tuple<double, double>> {};
 

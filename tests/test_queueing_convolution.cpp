@@ -7,6 +7,7 @@
 #include "dist/erlang.h"
 #include "queueing/chernoff.h"
 #include "queueing/giek1.h"
+#include "queueing/tail_kernel.h"
 #include "test_util.h"
 
 namespace fpsq::queueing {
@@ -22,16 +23,12 @@ TEST(Convolution, DegenerateVIsJustTheMixture) {
 }
 
 TEST(Convolution, MatchesPartialFractionsWhenWellConditioned) {
-  // Small K, well-separated poles: both evaluation routes must agree.
+  // Small K, well-separated poles: the quadrature and the per-pole
+  // partial-fraction kernel must agree.
   const auto v = ErlangMixMgf::atom_plus_exponential(0.6, {1.0, 0.0});
   const ErlangMixture y{8.0, {0.25, 0.25, 0.25, 0.25}};
-  // Equivalent ErlangMixMgf of y.
-  ErlangMixMgf::PoleTerm t;
-  t.theta = Complex{8.0, 0.0};
-  t.coeff = {Complex{0.25, 0}, Complex{0.25, 0}, Complex{0.25, 0},
-             Complex{0.25, 0}};
-  const ErlangMixMgf y_mgf{0.0, {t}};
-  const auto product = multiply(v, y_mgf);
+  const TailKernel product{v, y};
+  ASSERT_TRUE(product.closed_form());
   for (double x : {0.05, 0.3, 1.0, 3.0, 8.0}) {
     EXPECT_NEAR(convolved_tail(v, y, x), product.tail(x),
                 1e-8 * (1.0 + product.tail(x)))

@@ -91,7 +91,7 @@ TEST(MG1ErlangMix, FullMgfIsExactForMM1) {
   const auto full = q.full_mgf();
   ASSERT_EQ(full.terms().size(), 1u);
   EXPECT_NEAR(full.terms()[0].theta.real(), 0.4, 1e-10);
-  EXPECT_NEAR(full.terms()[0].coeff[0].real(), 0.6, 1e-10);
+  EXPECT_NEAR(full.terms()[0].coeff.real(), 0.6, 1e-10);
   EXPECT_NEAR(full.total_mass(), 1.0, 1e-12);
 }
 

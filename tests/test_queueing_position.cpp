@@ -25,29 +25,14 @@ TEST(PositionDelay, UniformMgfMatchesEq30Integral) {
   // Eq. (34)'s closed form must equal the direct integral of eq. (30).
   for (int k : {2, 5, 9, 20}) {
     const double beta = 4.0;
-    const auto p = position_delay_uniform(k, beta);
+    const auto p = position_delay_uniform_mixture(k, beta);
     for (double s : {-5.0, -1.0, 0.5, 2.0}) {
       const double numeric =
           position_delay_uniform_mgf_numeric(k, beta, s);
-      EXPECT_NEAR(p.value_real(s), numeric,
+      EXPECT_NEAR(p.mgf(Complex{s, 0.0}).real(), numeric,
                   1e-8 * (1.0 + std::abs(numeric)))
           << "k=" << k << " s=" << s;
     }
-  }
-}
-
-TEST(PositionDelay, MixtureAndMgfFormsAgree) {
-  for (int k : {2, 9, 20}) {
-    const double beta = 2.5;
-    const auto mgf_form = position_delay_uniform(k, beta);
-    const auto mix_form = position_delay_uniform_mixture(k, beta);
-    for (double x : {0.1, 1.0, 4.0, 10.0}) {
-      EXPECT_NEAR(mgf_form.tail(x), mix_form.tail(x), 1e-12)
-          << "k=" << k << " x=" << x;
-    }
-    EXPECT_NEAR(mgf_form.mean(), mix_form.mean(), 1e-12);
-    EXPECT_NEAR(mix_form.mgf(Complex{0.3, 0.0}).real(),
-                mgf_form.value_real(0.3), 1e-12);
   }
 }
 
@@ -97,9 +82,9 @@ TEST(PositionDelay, K1LogFormTail) {
 }
 
 TEST(PositionDelay, Guards) {
-  EXPECT_THROW(position_delay_uniform(1, 2.0), std::invalid_argument);
-  EXPECT_THROW(position_delay_uniform(5, 0.0), std::invalid_argument);
   EXPECT_THROW(position_delay_uniform_mixture(1, 2.0),
+               std::invalid_argument);
+  EXPECT_THROW(position_delay_uniform_mixture(5, 0.0),
                std::invalid_argument);
   EXPECT_THROW(position_delay_fixed(2, 2.0, 0.0), std::invalid_argument);
   EXPECT_THROW(position_delay_fixed(2, 2.0, 1.5), std::invalid_argument);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "err/error.h"
+#include "math/special.h"
 #include "queueing/convolution.h"
 #include "queueing/giek1.h"
 #include "queueing/position_delay.h"
@@ -49,7 +50,7 @@ TEST(TailKernel, MatchesErlangMixMgfTailAndDensity) {
 }
 
 TEST(TailKernel, MatchesErlangMixtureTail) {
-  for (int k : {2, 9, 20}) {
+  for (int k : {2, 9, 20, 64, 512}) {
     const auto y = position_delay_uniform_mixture(k, 2.0 * k);
     const TailKernel kern{y};
     EXPECT_TRUE(kern.closed_form());
@@ -59,6 +60,19 @@ TEST(TailKernel, MatchesErlangMixtureTail) {
       EXPECT_NEAR(kern.density(x), y.density(x),
                   1e-12 * (1.0 + y.density(x)))
           << "K=" << k << " x=" << x;
+    }
+  }
+  // Eq. (32): the fixed-position delay is Erlang(K, beta / theta).
+  for (int k : {1, 6, 64, 512}) {
+    for (double theta : {1.0, 0.5}) {
+      const double beta = 3.0;
+      const auto y = position_delay_fixed(k, beta, theta);
+      const TailKernel kern{y};
+      for (double x : probe_points(y.mean())) {
+        EXPECT_NEAR(kern.tail(x), math::erlang_ccdf(k, beta / theta, x),
+                    1e-12)
+            << "K=" << k << " theta=" << theta << " x=" << x;
+      }
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dist/rng.h"
+#include "queueing/erlang_mix.h"
 #include "stats/empirical.h"
 
 namespace fpsq::testutil {
@@ -36,6 +37,18 @@ inline double rel_diff(double a, double b, double floor = 1e-12) {
   const double scale =
       std::max({std::abs(a), std::abs(b), floor});
   return std::abs(a - b) / scale;
+}
+
+/// Hypoexponential law: the sum of independent Exp(rates[i]) delays,
+/// built by Appendix-A products (rates must be distinct).
+inline queueing::ErlangMixMgf hypoexponential(
+    const std::vector<double>& rates) {
+  queueing::ErlangMixMgf acc;  // point mass at zero
+  for (const double r : rates) {
+    acc = multiply(acc, queueing::ErlangMixMgf::atom_plus_exponential(
+                            0.0, {r, 0.0}));
+  }
+  return acc;
 }
 
 }  // namespace fpsq::testutil
