@@ -125,7 +125,7 @@ class JsonReport {
     }
     line += "},\"cache_hit_rate\":{";
     first = true;
-    for (const char* family : {"dek1", "giek1", "md1"}) {
+    for (const char* family : {"dek1", "giek1"}) {
       std::uint64_t hits = 0;
       std::uint64_t misses = 0;
       const std::string prefix = std::string("queueing.cache.") + family;

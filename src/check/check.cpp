@@ -25,11 +25,13 @@ namespace {
 constexpr double kMgfAbs = 1e-9;  // kernel vs pole-sum: same poles,
 constexpr double kMgfRel = 1e-7;  // different summation order
 constexpr double kOracleAbs = 1e-9;  // closed form vs adaptive
-constexpr double kOracleRel = 1e-6;  // quadrature at quad_tol 1e-12
+constexpr double kOracleRel = 1e-6;  // quadrature at tolerance 1e-12
 constexpr double kRoundTripRel = 1e-6;   // tail(quantile(eps)) vs eps,
 constexpr double kRoundTripAbs = 1e-12;  // scaled by eps itself
 constexpr double kBoundRel = 1e-9;    // one-sided quantile relations:
 constexpr double kBoundAbsMs = 1e-9;  // rounding slack (1e-12 s)
+/// Relative gamer-count step of the load-monotonicity relation.
+constexpr double kLoadStep = 1e-3;
 
 /// Tail abscissae probed per law, as multiples of the mean: body,
 /// shoulder, and deep tail where the pole expansions disagree first.
@@ -258,6 +260,7 @@ class PointChecker {
     }
 
     check_breakdown(m);
+    check_load_monotone(m);
 
     const queueing::TailKernel down = m.downstream_kernel();
     for (const double mult : {0.5, 2.0, 8.0}) {
@@ -293,22 +296,49 @@ class PointChecker {
     }
     const double total = b.total_ms - b.deterministic_ms;
     const double total3 = b3.total_ms - b3.deterministic_ms;
-    at_most("upstream_le_total", b.upstream_ms, total);
-    at_most("burst_le_total", b.burst_ms, total);
-    at_most("position_le_total", b.position_ms, total);
-    at_most("total_le_union_bound", total,
+    constexpr PathPair kPair = PathPair::kBreakdownBounds;
+    at_most(kPair, "upstream_le_total", b.upstream_ms, total);
+    at_most(kPair, "burst_le_total", b.burst_ms, total);
+    at_most(kPair, "position_le_total", b.position_ms, total);
+    at_most(kPair, "total_le_union_bound", total,
             b3.upstream_ms + b3.burst_ms + b3.position_ms);
-    at_most("total_grows_as_eps_shrinks", total, total3);
+    at_most(kPair, "total_grows_as_eps_shrinks", total, total3);
+  }
+
+  /// Every factor of eq. (35) has a heavier tail at a higher gamer
+  /// count (both loads and the burst size grow with n), so the RTT
+  /// quantile of the model at n (1 + kLoadStep) must not fall below the
+  /// one at n. A heavier model that is legitimately unsolvable
+  /// (unstable, pole clash) has nothing to compare against.
+  void check_load_monotone(const core::RttModel& m) {
+    auto heavier = core::RttModel::create(
+        p_.scenario, p_.n_clients * (1.0 + kLoadStep));
+    if (!heavier) {
+      const err::SolverErrorCode code = heavier.error().code;
+      if (code != err::SolverErrorCode::kBadParameters &&
+          code != err::SolverErrorCode::kUnstable &&
+          code != err::SolverErrorCode::kPoleClash) {
+        solver_mismatch(heavier.error(), "rtt_model_heavier", p_.epsilon);
+      }
+      return;
+    }
+    try {
+      at_most(PathPair::kLoadMonotone, "rtt_grows_with_load",
+              m.rtt_quantile_ms(p_.epsilon),
+              heavier.value().rtt_quantile_ms(p_.epsilon));
+    } catch (const err::SolverFailure& e) {
+      solver_mismatch(e.error(), "rtt_quantile_heavier", p_.epsilon);
+    }
   }
 
   /// One-sided relation lo <= hi, up to rounding slack.
-  void at_most(const char* what, double lo, double hi) {
+  void at_most(PathPair pair, const char* what, double lo, double hi) {
     ++out_.comparisons;
     const double mag = std::max(std::abs(lo), std::abs(hi));
     const double tol = kBoundAbsMs + kBoundRel * mag;
     // Written so a NaN on either side fails.
     if (lo - hi <= tol) return;
-    Mismatch m = base_mismatch(PathPair::kBreakdownBounds);
+    Mismatch m = base_mismatch(pair);
     m.abs_error = std::abs(lo - hi);
     m.rel_error = mag > 0.0 ? m.abs_error / mag : m.abs_error;
     m.tolerance = tol;
@@ -471,6 +501,7 @@ const char* path_pair_name(PathPair pair) noexcept {
     case PathPair::kServeVsCold: return "serve_vs_cold";
     case PathPair::kSolverHealth: return "solver_health";
     case PathPair::kBreakdownBounds: return "breakdown_bounds";
+    case PathPair::kLoadMonotone: return "load_monotone";
   }
   return "?";
 }

@@ -22,6 +22,7 @@
 //   solver_health      an admissible point failed to solve (err code)
 //   breakdown_bounds   total vs component quantiles (dominance, union
 //                      bound, monotone in epsilon)
+//   load_monotone      the RTT quantile does not fall as the load grows
 //
 // Determinism contract: run_check() evaluates points with
 // par::parallel_map and aggregates in index order, every point derives
@@ -46,6 +47,7 @@ enum class PathPair {
   kServeVsCold,
   kSolverHealth,
   kBreakdownBounds,
+  kLoadMonotone,
 };
 
 /// Stable wire/report name ("kernel_vs_mgf", ...).

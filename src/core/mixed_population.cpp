@@ -29,16 +29,11 @@ MixedUpstreamModel::MixedUpstreamModel(std::vector<GamerClass> classes,
   mix_ = std::make_unique<queueing::MG1DeterministicMix>(std::move(specs));
 }
 
-queueing::ErlangMixMgf MixedUpstreamModel::mgf(bool paper_eq14) const {
-  return paper_eq14 ? mix_->paper_mgf() : mix_->asymptotic_mgf();
-}
-
-double MixedUpstreamModel::wait_quantile_ms(double epsilon,
-                                            bool paper_eq14) const {
+double MixedUpstreamModel::wait_quantile_ms(double epsilon) const {
   // Compile the (single-pole) wait law once and Newton-invert it; the
   // compile is trivial next to the ~200 bisection tail evaluations it
   // replaces.
-  const queueing::TailKernel kern{mgf(paper_eq14)};
+  const queueing::TailKernel kern{mgf()};
   return kern.quantile(epsilon) * 1e3;
 }
 

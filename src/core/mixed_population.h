@@ -38,13 +38,13 @@ class MixedUpstreamModel {
     return mix_->mean_wait() * 1e3;
   }
 
-  /// Waiting-time MGF in the single-pole form of eq. (14) (atom 1 - rho)
-  /// or with the exact asymptotic residue.
-  [[nodiscard]] queueing::ErlangMixMgf mgf(bool paper_eq14 = true) const;
+  /// Waiting-time MGF in the single-pole form of eq. (14) (atom 1 - rho).
+  [[nodiscard]] queueing::ErlangMixMgf mgf() const {
+    return mix_->paper_mgf();
+  }
 
-  /// epsilon-quantile of the upstream queueing delay [ms].
-  [[nodiscard]] double wait_quantile_ms(double epsilon,
-                                        bool paper_eq14 = true) const;
+  /// epsilon-quantile of the upstream queueing delay [ms], from mgf().
+  [[nodiscard]] double wait_quantile_ms(double epsilon) const;
 
   [[nodiscard]] const queueing::MG1DeterministicMix& queue() const {
     return *mix_;

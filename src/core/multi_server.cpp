@@ -8,8 +8,7 @@
 namespace fpsq::core {
 
 MultiServerDownstreamModel::MultiServerDownstreamModel(
-    std::vector<GameServerSpec> servers, double bottleneck_bps,
-    WaitForm wait_form)
+    std::vector<GameServerSpec> servers, double bottleneck_bps)
     : servers_(std::move(servers)), bottleneck_bps_(bottleneck_bps) {
   if (servers_.empty()) {
     throw std::invalid_argument("MultiServerDownstreamModel: no servers");
@@ -43,17 +42,7 @@ MultiServerDownstreamModel::MultiServerDownstreamModel(
   }
   queue_ = std::make_unique<queueing::MG1ErlangMixService>(
       lambda, std::move(components));
-  switch (wait_form) {
-    case WaitForm::kExact:
-      exact_wait_ = true;
-      break;
-    case WaitForm::kAsymptotic:
-      exact_wait_ = false;
-      break;
-    case WaitForm::kAuto:
-      exact_wait_ = queue_->total_order() <= 48;
-      break;
-  }
+  exact_wait_ = queue_->total_order() <= 48;
   wait_mgf_ = exact_wait_ ? queue_->full_mgf() : queue_->asymptotic_mgf();
   // Precompile one (wait + position_i) kernel per server: every
   // packet-delay tail/quantile below reuses these instead of integrating

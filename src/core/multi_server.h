@@ -29,19 +29,14 @@ struct GameServerSpec {
 
 class MultiServerDownstreamModel {
  public:
-  /// How to represent the shared burst-wait transform.
-  enum class WaitForm {
-    kAuto,        ///< exact if sum(K_i) <= 48, else asymptotic
-    kExact,       ///< all-pole inversion (MG1ErlangMixService::full_mgf)
-    kAsymptotic,  ///< single dominant pole with exact residue
-  };
-
+  /// The shared burst-wait transform is the exact all-pole one
+  /// (MG1ErlangMixService::full_mgf) when the reduced transform order is
+  /// at most 48, else the single dominant pole with its exact residue.
   /// @param servers         at least one server
   /// @param bottleneck_bps  shared reserved pipe rate C
   /// @throws std::invalid_argument on bad specs, K_i < 2 or rho >= 1
   MultiServerDownstreamModel(std::vector<GameServerSpec> servers,
-                             double bottleneck_bps,
-                             WaitForm wait_form = WaitForm::kAuto);
+                             double bottleneck_bps);
 
   /// Whether the exact all-pole wait transform is in use.
   [[nodiscard]] bool exact_wait() const noexcept { return exact_wait_; }

@@ -96,9 +96,8 @@ std::optional<err::SolverError> RttModel::init(
   // ones).
   const double mean_burst_service_s =
       8.0 * n_ * scenario_.server_packet_bytes / scenario_.bottleneck_bps;
-  auto& cache = queueing::SolverCache::global();
-  auto solved = cache.giek1_result(scenario_.erlang_k, mean_burst_service_s,
-                                   tick_arrivals(scenario_));
+  auto solved = queueing::SolverCache::global().giek1_result(
+      scenario_.erlang_k, mean_burst_service_s, tick_arrivals(scenario_));
   if (!solved.ok()) return solved.error();
   downstream_ = std::move(solved).take_or_throw();
   const double beta = scenario_.erlang_k / mean_burst_service_s;
@@ -109,9 +108,17 @@ std::optional<err::SolverError> RttModel::init(
   const double lambda_up = n_ / (scenario_.tick_ms * 1e-3);
   const double service_up =
       8.0 * scenario_.client_packet_bytes / scenario_.bottleneck_bps;
-  auto md1 = cache.md1_result(lambda_up, service_up);
+  auto md1 = queueing::MD1::create(lambda_up, service_up);
   if (!md1.ok()) return md1.error();
-  ErlangMixMgf up = std::move(md1).take_or_throw()->paper;
+  ErlangMixMgf up;
+  try {
+    // The dominant-pole root search behind eq. (14) can fail to
+    // converge; surface that as a structured error.
+    up = md1.value().paper_mgf();
+  } catch (const std::exception& ex) {
+    return fail(err::SolverErrorCode::kNonConvergence,
+                std::string("MD1 single-pole MGF: ") + ex.what());
+  }
   // Keep the upstream pole clear of the burst-wait pole set before the
   // simple-pole product below.
   if (!up.terms().empty()) {
@@ -170,99 +177,16 @@ queueing::TailKernel RttModel::downstream_kernel() const {
                         : queueing::TailKernel(burst_wait_mgf(), *position_);
 }
 
-double RttModel::downstream_tail(double x_s) const {
-  return downstream_kernel().tail(x_s);
-}
-
 double RttModel::downstream_quantile_ms(double epsilon) const {
   return downstream_kernel().quantile(epsilon) * 1e3;
 }
 
-double RttModel::stochastic_quantile_ms(double epsilon,
-                                        CombinationMethod method) const {
-  switch (method) {
-    case CombinationMethod::kFullInversion:
-      return total_kernel_->quantile(epsilon) * 1e3;
-    case CombinationMethod::kDominantPole: {
-      // Dominant pole of eq. (35): the smallest-real-part pole among
-      // {gamma, alpha_j, beta}. Its residue is evaluated from the factored
-      // form. With the pole delta and total residue R (real after pairing
-      // conjugates), the method solves R e^{-delta x} = epsilon.
-      double delta;
-      double residue;
-      const double beta = position_->beta();
-      const double up_pole =
-          upstream_.terms().empty()
-              ? std::numeric_limits<double>::infinity()
-              : upstream_.terms().front().theta.real();
-      const double alpha1 =
-          burst_dropped_ ? std::numeric_limits<double>::infinity()
-                         : burst_wait_mgf().dominant_pole().real();
-      if (alpha1 <= beta && alpha1 <= up_pole) {
-        // Simple real pole alpha_1 of W: residue of the product there is
-        // a_1 * D_u(alpha_1) * P(alpha_1) (all factored evaluations).
-        const Complex a1{alpha1, 0.0};
-        const Complex w1 = downstream_->weights().front();
-        residue = (w1 * upstream_.value(a1) * position_->mgf(a1)).real();
-        delta = alpha1;
-      } else if (up_pole <= beta) {
-        // Upstream pole gamma dominant: residue rho_u-ish times the other
-        // factors at gamma.
-        const Complex g{up_pole, 0.0};
-        const Complex c = upstream_.terms().front().coeff;
-        Complex rest = position_->mgf(g);
-        if (!burst_dropped_) rest *= burst_wait_mgf().value(g);
-        residue = (c * rest).real();
-        delta = up_pole;
-      } else {
-        // Position pole beta (multiplicity K-1) dominant: keep the full
-        // position mixture scaled by the other factors evaluated at...
-        // the paper keeps the *term*; the clean equivalent is to scale
-        // the position tail by (D_u W)(at s -> its own mass), i.e. treat
-        // the simple-pole factors as their total mass at the dominant
-        // scale. We use the exact convolution with the atoms only.
-        const double mass_at_zero = upw_.constant_term();
-        // Tail approx: mass_at_zero * P(position > x); solve for x.
-        if (mass_at_zero <= epsilon) return 0.0;
-        return position_->quantile(epsilon / mass_at_zero) * 1e3;
-      }
-      if (!(residue > epsilon)) {
-        // Residue too small: the dominant-pole method degenerates; report
-        // zero (the paper notes the method needs a non-small residue).
-        return 0.0;
-      }
-      return std::log(residue / epsilon) / delta * 1e3;
-    }
-    case CombinationMethod::kChernoff: {
-      double s_max = position_->beta();
-      if (!upstream_.terms().empty()) {
-        s_max =
-            std::min(s_max, upstream_.terms().front().theta.real());
-      }
-      if (!burst_dropped_) {
-        s_max = std::min(s_max, burst_wait_mgf().dominant_pole().real());
-      }
-      return queueing::chernoff_quantile_fn(
-                 [this](double s) { return total_mgf_value(s); }, s_max,
-                 epsilon) *
-             1e3;
-    }
-    case CombinationMethod::kSumOfQuantiles: {
-      double acc =
-          upstream_.quantile(epsilon) + position_->quantile(epsilon);
-      if (!burst_dropped_) {
-        acc += downstream_->wait_quantile(epsilon);
-      }
-      return acc * 1e3;
-    }
-  }
-  throw std::logic_error("stochastic_quantile_ms: unknown method");
+double RttModel::stochastic_quantile_ms(double epsilon) const {
+  return total_kernel_->quantile(epsilon) * 1e3;
 }
 
-double RttModel::rtt_quantile_ms(double epsilon,
-                                 CombinationMethod method) const {
-  return scenario_.deterministic_rtt_ms() +
-         stochastic_quantile_ms(epsilon, method);
+double RttModel::rtt_quantile_ms(double epsilon) const {
+  return scenario_.deterministic_rtt_ms() + stochastic_quantile_ms(epsilon);
 }
 
 double RttModel::rtt_mean_ms() const {
@@ -278,6 +202,74 @@ RttModel::Breakdown RttModel::breakdown_ms(double epsilon) const {
   b.position_ms = position_->quantile(epsilon) * 1e3;
   b.total_ms = rtt_quantile_ms(epsilon);
   return b;
+}
+
+double dominant_pole_quantile_ms(const RttModel& model, double epsilon) {
+  // Dominant pole of eq. (35): the smallest-real-part pole among
+  // {gamma, alpha_j, beta}. Its residue is evaluated from the factored
+  // form. With the pole delta and total residue R (real after pairing
+  // conjugates), the method solves R e^{-delta x} = epsilon.
+  const ErlangMixMgf& up = model.upstream_mgf();
+  const queueing::ErlangMixture& position = model.position_mixture();
+  const bool dropped = model.burst_wait_dropped();
+  double delta = 0.0;
+  double residue = 0.0;
+  const double beta = position.beta();
+  const double up_pole = up.terms().empty()
+                             ? std::numeric_limits<double>::infinity()
+                             : up.terms().front().theta.real();
+  const double alpha1 =
+      dropped ? std::numeric_limits<double>::infinity()
+              : model.burst_wait_mgf().dominant_pole().real();
+  if (alpha1 <= beta && alpha1 <= up_pole) {
+    // Simple real pole alpha_1 of W: residue of the product there is
+    // a_1 * D_u(alpha_1) * P(alpha_1) (all factored evaluations).
+    const Complex a1{alpha1, 0.0};
+    const Complex w1 = model.downstream_solver().weights().front();
+    residue = (w1 * up.value(a1) * position.mgf(a1)).real();
+    delta = alpha1;
+  } else if (up_pole <= beta) {
+    // Upstream pole gamma dominant: residue rho_u-ish times the other
+    // factors at gamma.
+    const Complex g{up_pole, 0.0};
+    const Complex c = up.terms().front().coeff;
+    Complex rest = position.mgf(g);
+    if (!dropped) rest *= model.burst_wait_mgf().value(g);
+    residue = (c * rest).real();
+    delta = up_pole;
+  } else {
+    // Position pole beta (multiplicity K-1) dominant: keep the full
+    // position mixture scaled by the other factors evaluated at...
+    // the paper keeps the *term*; the clean equivalent is to scale
+    // the position tail by (D_u W)(at s -> its own mass), i.e. treat
+    // the simple-pole factors as their total mass at the dominant
+    // scale. We use the exact convolution with the atoms only.
+    const double mass_at_zero = model.upstream_burst_mgf().constant_term();
+    // Tail approx: mass_at_zero * P(position > x); solve for x.
+    if (mass_at_zero <= epsilon) return 0.0;
+    return position.quantile(epsilon / mass_at_zero) * 1e3;
+  }
+  if (!(residue > epsilon)) {
+    // Residue too small: the dominant-pole method degenerates; report
+    // zero (the paper notes the method needs a non-small residue).
+    return 0.0;
+  }
+  return std::log(residue / epsilon) / delta * 1e3;
+}
+
+double chernoff_quantile_ms(const RttModel& model, double epsilon) {
+  double s_max = model.position_mixture().beta();
+  const ErlangMixMgf& up = model.upstream_mgf();
+  if (!up.terms().empty()) {
+    s_max = std::min(s_max, up.terms().front().theta.real());
+  }
+  if (!model.burst_wait_dropped()) {
+    s_max = std::min(s_max, model.burst_wait_mgf().dominant_pole().real());
+  }
+  return queueing::chernoff_quantile_fn(
+             [&model](double s) { return model.total_mgf_value(s); }, s_max,
+             epsilon) *
+         1e3;
 }
 
 }  // namespace fpsq::core

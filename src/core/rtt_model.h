@@ -24,14 +24,6 @@
 
 namespace fpsq::core {
 
-/// How to turn the combined law into a quantile (the Section-3.3 menu).
-enum class CombinationMethod {
-  kFullInversion,   ///< exact combination (stable convolution evaluation)
-  kDominantPole,    ///< keep only the dominant pole of eq. (35)
-  kChernoff,        ///< bound of eq. (36)
-  kSumOfQuantiles,  ///< sum of the three individual quantiles
-};
-
 /// The burst-arrival law of the scenario's server ticks: deterministic
 /// every tick_ms (the paper's D/E_K/1), or Gamma with CoV
 /// tick_jitter_cov when that is positive.
@@ -41,9 +33,10 @@ enum class CombinationMethod {
 class RttModel {
  public:
   /// Non-throwing factory: the construction path used by the batch
-  /// drivers (core::sweep_rtt_quantiles, dimension_table). The solvers
-  /// come from queueing::SolverCache::global(), whose entries are the
-  /// canonical solves, so a model is a pure function of its arguments.
+  /// drivers (core::sweep_rtt_quantiles, dimension_table). The burst-wait
+  /// solver comes from queueing::SolverCache::global(), whose entries are
+  /// the canonical solves, and the M/D/1 upstream is solved here, so a
+  /// model is a pure function of its arguments.
   /// Errors:
   ///   - kBadParameters   invalid scenario, n <= 0, K < 2
   ///   - kUnstable        rho_up >= 1 or rho_down >= 1
@@ -113,29 +106,24 @@ class RttModel {
   /// Tail of the total stochastic delay [probability], x in seconds.
   [[nodiscard]] double total_tail(double x_s) const;
 
-  /// Tail of the downstream stochastic delay W + P (no upstream), x [s].
-  /// Compiles downstream_kernel() per call.
-  [[nodiscard]] double downstream_tail(double x_s) const;
-
   /// epsilon-quantile of the downstream stochastic delay [ms]. Compiles
   /// downstream_kernel() per call.
   [[nodiscard]] double downstream_quantile_ms(double epsilon) const;
 
-  /// epsilon-quantile of the total stochastic delay [ms].
-  [[nodiscard]] double stochastic_quantile_ms(
-      double epsilon,
-      CombinationMethod method = CombinationMethod::kFullInversion) const;
+  /// epsilon-quantile of the total stochastic delay [ms] (exact
+  /// combination, inverted through total_kernel()).
+  [[nodiscard]] double stochastic_quantile_ms(double epsilon) const;
 
   /// epsilon-quantile of the full RTT [ms] — stochastic + deterministic.
   /// The paper's Figures 3-4 plot this with epsilon = 1e-5.
-  [[nodiscard]] double rtt_quantile_ms(
-      double epsilon,
-      CombinationMethod method = CombinationMethod::kFullInversion) const;
+  [[nodiscard]] double rtt_quantile_ms(double epsilon) const;
 
   /// Mean RTT [ms] (deterministic + mean stochastic delay).
   [[nodiscard]] double rtt_mean_ms() const;
 
-  /// Per-component epsilon-quantiles [ms], for breakdown reporting.
+  /// Per-component epsilon-quantiles [ms], for breakdown reporting. The
+  /// sum of the three stochastic components is the paper's
+  /// "sum of quantiles" shortcut (last paragraph of Section 3.3).
   struct Breakdown {
     double deterministic_ms = 0.0;
     double upstream_ms = 0.0;   ///< quantile of D_u alone
@@ -173,5 +161,18 @@ class RttModel {
   // point.
   std::unique_ptr<const queueing::TailKernel> total_kernel_;
 };
+
+/// Section-3.3 approximation of stochastic_quantile_ms() for the A1
+/// ablation: the epsilon-quantile [ms] from the dominant pole of eq. (35)
+/// alone; 0 when its residue is below epsilon, where the method
+/// degenerates.
+[[nodiscard]] double dominant_pole_quantile_ms(const RttModel& model,
+                                               double epsilon);
+
+/// Section-3.3 approximation of stochastic_quantile_ms() for the A1
+/// ablation: the epsilon-quantile [ms] implied by the Chernoff bound of
+/// eq. (36) on the factored product MGF (conservative).
+[[nodiscard]] double chernoff_quantile_ms(const RttModel& model,
+                                          double epsilon);
 
 }  // namespace fpsq::core

@@ -11,8 +11,5 @@
 #include "dist/lognormal.h"
 #include "dist/mixture.h"
 #include "dist/normal.h"
-#include "dist/pareto.h"
 #include "dist/rng.h"
-#include "dist/shifted.h"
 #include "dist/uniform.h"
-#include "dist/weibull.h"

@@ -1,8 +1,8 @@
 // Abstract base for the one-dimensional distributions used by the traffic
 // models (packet sizes, inter-arrival times, burst sizes). Section 2 of the
 // paper works with deterministic, extreme-value (Gumbel), lognormal,
-// normal, Weibull and Erlang laws; all are provided here with a common
-// interface so generators, fitters and analyzers compose freely.
+// normal and Erlang laws; all are provided here with a common interface
+// so generators, fitters and analyzers compose freely.
 #pragma once
 
 #include <memory>

@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "math/minimize.h"
 #include "math/special.h"
 
 namespace fpsq::dist {
@@ -16,14 +15,6 @@ Erlang erlang_fit_moments(double mean, double cov) {
   const double k_real = 1.0 / (cov * cov);
   const int k = std::max(1, static_cast<int>(std::lround(k_real)));
   return Erlang::from_mean(k, mean);
-}
-
-Extreme extreme_fit_moments(double mean, double cov) {
-  return Extreme::from_mean_stddev(mean, mean * cov);
-}
-
-Lognormal lognormal_fit_moments(double mean, double cov) {
-  return Lognormal::from_mean_cov(mean, cov);
 }
 
 ErlangTailFit erlang_fit_tail(double mean, std::span<const TdfPoint> points,
@@ -57,44 +48,6 @@ ErlangTailFit erlang_fit_tail(double mean, std::span<const TdfPoint> points,
     throw std::invalid_argument("erlang_fit_tail: no usable TDF points");
   }
   return best;
-}
-
-Extreme extreme_fit_pdf_ls(std::span<const PdfPoint> points,
-                           double mean_guess, double stddev_guess,
-                           int sweeps) {
-  if (points.empty()) {
-    throw std::invalid_argument("extreme_fit_pdf_ls: no points");
-  }
-  const Extreme seed = Extreme::from_mean_stddev(mean_guess, stddev_guess);
-  double a = seed.a();
-  double b = seed.b();
-  auto loss = [&points](double la, double lb) {
-    if (!(lb > 0.0)) return std::numeric_limits<double>::infinity();
-    const Extreme e{la, lb};
-    double acc = 0.0;
-    for (const auto& pt : points) {
-      const double d = e.pdf(pt.x) - pt.density;
-      acc += d * d;
-    }
-    return acc;
-  };
-  // Coordinate descent: each sweep optimizes a then b on a window around
-  // the current value; the window shrinks as the sweeps progress.
-  double window_a = 4.0 * b + 1e-9;
-  double window_b = 0.9 * b;
-  for (int s = 0; s < sweeps; ++s) {
-    const auto ra = math::golden_section(
-        [&](double la) { return loss(la, b); }, a - window_a, a + window_a,
-        1e-11);
-    a = ra.x;
-    const double blo = std::max(1e-9, b - window_b);
-    const auto rb = math::golden_section(
-        [&](double lb) { return loss(a, lb); }, blo, b + window_b, 1e-11);
-    b = rb.x;
-    window_a *= 0.7;
-    window_b *= 0.7;
-  }
-  return Extreme{a, b};
 }
 
 }  // namespace fpsq::dist

@@ -1,16 +1,13 @@
-// Distribution fitting, mirroring the three approaches taken in the paper:
+// Erlang fitting, mirroring the two approaches the paper takes for the
+// burst size:
 //  * method of moments (mean + CoV), as used for the K = 28 Erlang fit;
-//  * least-squares fit of a parametric pdf to a histogram (Färber's method
-//    for the Ext(a, b) approximations of Table 1);
-//  * tail-distribution-function fit (the paper's preferred method for the
-//    burst size, Figure 1, yielding K between 15 and 20).
+//  * tail-distribution-function fit (the paper's preferred method,
+//    Figure 1, yielding K between 15 and 20).
 #pragma once
 
 #include <span>
 
 #include "dist/erlang.h"
-#include "dist/extreme.h"
-#include "dist/lognormal.h"
 
 namespace fpsq::dist {
 
@@ -20,21 +17,9 @@ struct TdfPoint {
   double tdf = 0.0;
 };
 
-/// One point of an empirical density (histogram bin center + density).
-struct PdfPoint {
-  double x = 0.0;
-  double density = 0.0;
-};
-
 /// Moment-matched Erlang: K = max(1, round(1/CoV^2)), rate = K/mean.
 /// (Section 2.3.2: CoV 0.19 gives K = 28.)
 [[nodiscard]] Erlang erlang_fit_moments(double mean, double cov);
-
-/// Moment-matched Gumbel (mean, CoV); see Extreme::from_mean_stddev.
-[[nodiscard]] Extreme extreme_fit_moments(double mean, double cov);
-
-/// Moment-matched lognormal (mean, CoV).
-[[nodiscard]] Lognormal lognormal_fit_moments(double mean, double cov);
 
 /// Result of the Figure-1 style tail fit.
 struct ErlangTailFit {
@@ -51,13 +36,5 @@ struct ErlangTailFit {
                                             std::span<const TdfPoint> points,
                                             int k_min = 1, int k_max = 64,
                                             double tdf_floor = 1e-6);
-
-/// Least-squares fit of the Ext(a, b) density to histogram points by
-/// coordinate descent (golden section per coordinate), seeded from the
-/// moment fit. This reproduces Färber's procedure.
-[[nodiscard]] Extreme extreme_fit_pdf_ls(std::span<const PdfPoint> points,
-                                         double mean_guess,
-                                         double stddev_guess,
-                                         int sweeps = 40);
 
 }  // namespace fpsq::dist

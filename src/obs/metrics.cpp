@@ -634,8 +634,6 @@ void ensure_baseline_schema() {
   (void)reg.counter("queueing.cache.dek1.misses");
   (void)reg.counter("queueing.cache.giek1.hits");
   (void)reg.counter("queueing.cache.giek1.misses");
-  (void)reg.counter("queueing.cache.md1.hits");
-  (void)reg.counter("queueing.cache.md1.misses");
   (void)reg.gauge("queueing.cache.entries");
   // Robustness layer (fpsq::err + the degrading sweep drivers).
   (void)reg.counter("err.solver_failures");

@@ -33,32 +33,4 @@ double kingman_mean_wait_bound(const GiG1Moments& q) {
   return lambda * (var_a + var_s) / (2.0 * (1.0 - rho));
 }
 
-double klb_mean_wait(const GiG1Moments& q) {
-  validate(q);
-  const double rho = gig1_load(q);
-  const double ca2 = q.cov2_interarrival;
-  const double cs2 = q.cov2_service;
-  // W = (rho E[S] / (1 - rho)) * (ca2 + cs2)/2 * g(rho, ca2, cs2).
-  const double base =
-      rho * q.mean_service / (1.0 - rho) * (ca2 + cs2) / 2.0;
-  double g;
-  if (ca2 <= 1.0) {
-    g = std::exp(-2.0 * (1.0 - rho) / (3.0 * rho) *
-                 (1.0 - ca2) * (1.0 - ca2) / (ca2 + cs2 + 1e-300));
-  } else {
-    g = std::exp(-(1.0 - rho) * (ca2 - 1.0) /
-                 (ca2 + 4.0 * cs2 + 1e-300));
-  }
-  return base * g;
-}
-
-double kingman_tail_approx(const GiG1Moments& q, double x) {
-  validate(q);
-  if (x <= 0.0) return 1.0;
-  const double rho = gig1_load(q);
-  const double wk = kingman_mean_wait_bound(q);
-  if (wk <= 0.0) return 0.0;  // deterministic/deterministic: no wait
-  return rho * std::exp(-rho * x / wk);
-}
-
 }  // namespace fpsq::queueing

@@ -1,10 +1,7 @@
-// Classical GI/G/1 mean-wait bounds and approximations, as independent
-// sanity rails around the exact transform solutions:
-//  * Kingman's upper bound  E[W] <= lambda (sigma_a^2 + sigma_s^2) /
-//    (2 (1 - rho));
-//  * the Kraemer & Langenbach-Belz (KLB) refinement, the standard
-//    engineering approximation (exact for M/G/1);
-//  * Kingman's heavy-traffic exponential approximation of the tail.
+// Kingman's GI/G/1 mean-wait upper bound
+//     E[W] <= lambda (sigma_a^2 + sigma_s^2) / (2 (1 - rho)),
+// the moment-only substitute a sweep reports (status "bound") for a
+// point whose exact transform solve failed.
 #pragma once
 
 namespace fpsq::queueing {
@@ -22,14 +19,5 @@ struct GiG1Moments {
 
 /// Kingman's upper bound on the mean wait [s].
 [[nodiscard]] double kingman_mean_wait_bound(const GiG1Moments& q);
-
-/// Kraemer & Langenbach-Belz approximation of the mean wait [s].
-[[nodiscard]] double klb_mean_wait(const GiG1Moments& q);
-
-/// Heavy-traffic exponential tail approximation:
-/// P(W > x) ~ rho exp(-2 (1 - rho) x / (lambda (sigma_a^2 + sigma_s^2))
-///            / E[A]... expressed via the Kingman mean:
-/// P(W > x) ~ rho exp(-rho x / W_kingman).
-[[nodiscard]] double kingman_tail_approx(const GiG1Moments& q, double x);
 
 }  // namespace fpsq::queueing

@@ -53,55 +53,4 @@ double chernoff_quantile_fn(const std::function<double(double)>& mgf_value,
   return 0.5 * (lo + hi);
 }
 
-double chernoff_tail(const ErlangMixMgf& mgf, double x) {
-  if (x <= 0.0) return 1.0;
-  if (mgf.terms().empty()) {
-    // Point mass at zero: tail beyond any positive x is zero.
-    return 0.0;
-  }
-  return chernoff_tail_fn([&mgf](double s) { return mgf.value_real(s); },
-                          mgf.dominant_pole().real(), x);
-}
-
-double chernoff_quantile(const ErlangMixMgf& mgf, double epsilon) {
-  if (!(epsilon > 0.0 && epsilon < 1.0)) {
-    throw std::invalid_argument("chernoff_quantile: epsilon in (0,1)");
-  }
-  if (mgf.terms().empty()) return 0.0;
-  const double scale = 1.0 / mgf.dominant_pole().real();
-  double hi = scale;
-  int guard = 0;
-  while (chernoff_tail(mgf, hi) > epsilon) {
-    hi *= 2.0;
-    if (++guard > 200) {
-      throw std::runtime_error("chernoff_quantile: bracket failure");
-    }
-  }
-  double lo = 0.0;
-  for (int i = 0; i < 200 && hi - lo > 1e-13 * (1.0 + hi); ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (chernoff_tail(mgf, mid) > epsilon) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
-double sum_of_quantiles(const std::vector<const ErlangMixMgf*>& parts,
-                        double epsilon) {
-  if (parts.empty()) {
-    throw std::invalid_argument("sum_of_quantiles: no parts");
-  }
-  double acc = 0.0;
-  for (const auto* p : parts) {
-    if (p == nullptr) {
-      throw std::invalid_argument("sum_of_quantiles: null part");
-    }
-    acc += p->quantile(epsilon);
-  }
-  return acc;
-}
-
 }  // namespace fpsq::queueing

@@ -1,41 +1,24 @@
-// Chernoff-bound alternatives for Section 3.3: instead of inverting the
+// Chernoff-bound alternative for Section 3.3: instead of inverting the
 // combined MGF exactly, bound the tail by
 //     P(D > x) <= inf_{0 < s < s_max} e^{-s x} F(s)        (eq. 36)
-// where F is the product MGF and s_max its dominant pole. Also the
-// "sum of quantiles" heuristic the paper mentions as a final shortcut.
+// where F is the product MGF and s_max its dominant pole.
 #pragma once
 
 #include <functional>
-#include <vector>
-
-#include "queueing/erlang_mix.h"
 
 namespace fpsq::queueing {
 
 /// Chernoff bound on P(X > x) given any real MGF evaluator and the
-/// abscissa of convergence s_max (the dominant pole). This variant is the
-/// numerically preferred one: evaluating a *product* of factor MGFs is
+/// abscissa of convergence s_max (the dominant pole). Taking the MGF as
+/// a function lets callers evaluate a *product* of factor MGFs, which is
 /// cancellation-free even when the expanded partial-fraction form is not.
 [[nodiscard]] double chernoff_tail_fn(
     const std::function<double(double)>& mgf_value, double s_max, double x);
 
-/// epsilon-quantile implied by the functional Chernoff bound.
+/// epsilon-quantile implied by the Chernoff bound (conservative: the true
+/// quantile is below this).
 [[nodiscard]] double chernoff_quantile_fn(
     const std::function<double(double)>& mgf_value, double s_max,
     double epsilon);
-
-/// Chernoff bound on P(X > x) for an Erlang-mix MGF.
-[[nodiscard]] double chernoff_tail(const ErlangMixMgf& mgf, double x);
-
-/// epsilon-quantile implied by the Chernoff bound (conservative: the true
-/// quantile is below this).
-[[nodiscard]] double chernoff_quantile(const ErlangMixMgf& mgf,
-                                       double epsilon);
-
-/// "Sum of quantiles" heuristic (last paragraph of Section 3.3): the
-/// epsilon-quantile of a sum of independent delays approximated by the
-/// sum of the individual epsilon-quantiles.
-[[nodiscard]] double sum_of_quantiles(
-    const std::vector<const ErlangMixMgf*>& parts, double epsilon);
 
 }  // namespace fpsq::queueing

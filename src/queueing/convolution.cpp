@@ -13,6 +13,9 @@ namespace fpsq::queueing {
 
 namespace {
 
+/// Adaptive-quadrature tolerance of every convolution integral.
+constexpr double kQuadTol = 1e-12;
+
 /// Characteristic width of V's density: the slowest pole decay
 /// max_j 1 / Re(theta_j). f_V is negligible beyond a few multiples.
 double density_scale(const ErlangMixMgf& v) {
@@ -33,17 +36,16 @@ double density_scale(const ErlangMixMgf& v) {
 /// mismatch at k=3, rho 0.10, eps ~ 1e-7. Panelling [0, s], [s, 8s],
 /// [8s, 64s], ... pins the first samples inside the spike.
 double integrate_spiked(const std::function<double(double)>& f,
-                        const ErlangMixMgf& v, double x,
-                        double quad_tol) {
+                        const ErlangMixMgf& v, double x) {
   const double scale = density_scale(v);
   if (!(scale > 0.0) || scale >= 0.25 * x) {
-    return math::integrate(f, 0.0, x, quad_tol);
+    return math::integrate(f, 0.0, x, kQuadTol);
   }
   double acc = 0.0;
   double lo = 0.0;
   double hi = scale;
   while (lo < x) {
-    acc += math::integrate(f, lo, std::min(hi, x), quad_tol);
+    acc += math::integrate(f, lo, std::min(hi, x), kQuadTol);
     lo = std::min(hi, x);
     hi *= 8.0;
   }
@@ -53,7 +55,7 @@ double integrate_spiked(const std::function<double(double)>& f,
 }  // namespace
 
 double convolved_tail(const ErlangMixMgf& v, const ErlangMixture& y,
-                      double x, double quad_tol) {
+                      double x) {
   if (x <= 0.0) return 1.0;
   // Counted so the TailKernel bench can compare evaluation budgets
   // against this reference (adaptive-quadrature) path.
@@ -62,35 +64,31 @@ double convolved_tail(const ErlangMixMgf& v, const ErlangMixture& y,
   if (!v.terms().empty()) {
     acc += integrate_spiked(
         [&v, &y, x](double w) { return v.density(w) * y.tail(x - w); },
-        v, x, quad_tol);
+        v, x);
   }
   return acc;
 }
 
 double convolved_density(const ErlangMixMgf& v, const ErlangMixture& y,
-                         double x, double quad_tol) {
+                         double x) {
   if (x <= 0.0) return 0.0;
   double acc = v.constant_term() * y.density(x);
   if (!v.terms().empty()) {
     acc += integrate_spiked(
         [&v, &y, x](double w) { return v.density(w) * y.density(x - w); },
-        v, x, quad_tol);
+        v, x);
   }
   return acc;
 }
 
 double convolved_quantile(const ErlangMixMgf& v, const ErlangMixture& y,
-                          double epsilon, double quad_tol) {
+                          double epsilon) {
   if (!(epsilon > 0.0 && epsilon < 1.0)) {
     throw std::invalid_argument("convolved_quantile: epsilon in (0,1)");
   }
   return invert_tail_newton(
-      [&v, &y, quad_tol](double x) {
-        return convolved_tail(v, y, x, quad_tol);
-      },
-      [&v, &y, quad_tol](double x) {
-        return convolved_density(v, y, x, quad_tol);
-      },
+      [&v, &y](double x) { return convolved_tail(v, y, x); },
+      [&v, &y](double x) { return convolved_density(v, y, x); },
       epsilon, convolved_mean(v, y) + 1.0 / y.beta(),
       "queueing.convolution");
 }

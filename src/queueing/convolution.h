@@ -14,7 +14,8 @@
 //   P(V + Y > x) = P(V > x) + atom_V * P(Y > x)
 //                + int_0^x f_V(w) P(Y > x - w) dw,
 //
-// where every ingredient is evaluated from a cancellation-free form.
+// where every ingredient is evaluated from a cancellation-free form and
+// the integral by adaptive Simpson to 1e-12.
 // Production evaluates the same law through queueing::TailKernel, which
 // convolves each pole exactly; this adaptive-quadrature integral is the
 // independent reference oracle for `fpsq check` and the tests.
@@ -28,15 +29,13 @@ namespace fpsq::queueing {
 /// P(V + Y > x) with V given by an Erlang-mix MGF (atom + mixture) and
 /// Y by a (positive-weight) Erlang mixture; V and Y independent.
 [[nodiscard]] double convolved_tail(const ErlangMixMgf& v,
-                                    const ErlangMixture& y, double x,
-                                    double quad_tol = 1e-12);
+                                    const ErlangMixture& y, double x);
 
 /// Density of V + Y at x > 0 (Y has no atom, so this is
 /// c0_V f_Y(x) + int_0^x f_V(w) f_Y(x - w) dw). Used as the analytic
 /// derivative in the Newton quantile inversion.
 [[nodiscard]] double convolved_density(const ErlangMixMgf& v,
-                                       const ErlangMixture& y, double x,
-                                       double quad_tol = 1e-12);
+                                       const ErlangMixture& y, double x);
 
 /// epsilon-quantile of V + Y (safeguarded Newton on convolved_tail with
 /// convolved_density as the derivative).
@@ -44,8 +43,7 @@ namespace fpsq::queueing {
 ///         bracket or Newton budget is exhausted
 [[nodiscard]] double convolved_quantile(const ErlangMixMgf& v,
                                         const ErlangMixture& y,
-                                        double epsilon,
-                                        double quad_tol = 1e-12);
+                                        double epsilon);
 
 /// E[V + Y].
 [[nodiscard]] double convolved_mean(const ErlangMixMgf& v,

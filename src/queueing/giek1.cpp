@@ -138,15 +138,6 @@ ArrivalTransform gamma_arrivals(double shape, double rate) {
           shape / rate, "Gamma", {shape, rate}};
 }
 
-ArrivalTransform erlang_arrivals(int m, double rate) {
-  if (m < 1 || !(rate > 0.0)) {
-    throw std::invalid_argument("erlang_arrivals: m >= 1, rate > 0");
-  }
-  auto t = gamma_arrivals(static_cast<double>(m), rate);
-  t.name = "Erlang";
-  return t;
-}
-
 ArrivalTransform gamma_arrivals_mean_cov(double mean_s, double cov) {
   if (!(mean_s > 0.0) || !(cov > 0.0)) {
     throw std::invalid_argument("gamma_arrivals_mean_cov: mean, cov > 0");

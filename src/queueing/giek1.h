@@ -49,9 +49,6 @@ struct ArrivalTransform {
 /// Deterministic ticks: A(u) = e^{-u T} (the paper's D/E_K/1).
 [[nodiscard]] ArrivalTransform deterministic_arrivals(double period_s);
 
-/// Erlang(m, rate) interarrivals: A(u) = (rate/(rate+u))^m.
-[[nodiscard]] ArrivalTransform erlang_arrivals(int m, double rate);
-
 /// Gamma(shape, rate) interarrivals — continuously tunable jitter with
 /// CoV = 1/sqrt(shape); shape -> infinity recovers deterministic ticks.
 [[nodiscard]] ArrivalTransform gamma_arrivals(double shape, double rate);

@@ -151,33 +151,6 @@ double MD1::wait_cdf_exact(double t) const {
   return std::min(1.0, std::max(0.0, result));
 }
 
-std::vector<double> MD1::queue_length_pmf(int n_max) const {
-  if (n_max < 0) {
-    throw std::invalid_argument("MD1::queue_length_pmf: n_max >= 0");
-  }
-  const double rho = mix_.rho();
-  // a_j = P(j Poisson arrivals during one deterministic service).
-  std::vector<double> a(static_cast<std::size_t>(n_max) + 2);
-  a[0] = std::exp(-rho);
-  for (std::size_t j = 1; j < a.size(); ++j) {
-    a[j] = a[j - 1] * rho / static_cast<double>(j);
-  }
-  // Embedded-chain recursion:
-  // pi_{n+1} = [pi_n - pi_0 a_n - sum_{k=1}^{n} pi_k a_{n-k+1}] / a_0.
-  std::vector<double> pi(static_cast<std::size_t>(n_max) + 1, 0.0);
-  pi[0] = 1.0 - rho;
-  for (int n = 0; n < n_max; ++n) {
-    double acc = pi[static_cast<std::size_t>(n)] -
-                 pi[0] * a[static_cast<std::size_t>(n)];
-    for (int k = 1; k <= n; ++k) {
-      acc -= pi[static_cast<std::size_t>(k)] *
-             a[static_cast<std::size_t>(n - k + 1)];
-    }
-    pi[static_cast<std::size_t>(n) + 1] = std::max(0.0, acc / a[0]);
-  }
-  return pi;
-}
-
 double MD1::loss_probability_approx(int buffer_packets) const {
   if (buffer_packets < 1) {
     throw std::invalid_argument(

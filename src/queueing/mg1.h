@@ -107,13 +107,6 @@ class MD1 {
   /// epsilon-quantile from the exact cdf (bisection).
   [[nodiscard]] double wait_quantile_exact(double epsilon) const;
 
-  /// Stationary queue-length pmf P(N = n), n = 0..n_max, via the
-  /// embedded M/G/1 chain recursion with Poisson(rho) arrivals per
-  /// service (departure epochs = time stationary = arrival-seen, by
-  /// PASTA and level crossing). P(N = 0) = 1 - rho exactly; the mean
-  /// satisfies Little's law against mean_wait() + d.
-  [[nodiscard]] std::vector<double> queue_length_pmf(int n_max) const;
-
   /// Loss estimate for the finite-buffer M/D/1/B (B packets including
   /// the one in service): the heavy-traffic relation
   /// P_loss ~ (1 - rho) P(W_inf > (B-1) d), with the infinite-buffer

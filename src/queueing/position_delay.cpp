@@ -119,19 +119,6 @@ ErlangMixture position_delay_uniform_mixture(int k, double beta) {
   return ErlangMixture{beta, std::move(w)};
 }
 
-double position_delay_uniform_tail_k1(double beta, double x) {
-  if (!(beta > 0.0)) {
-    throw std::invalid_argument("position_delay_uniform_tail_k1: beta > 0");
-  }
-  if (x <= 0.0) return 1.0;
-  // P(U B > x) = int_0^1 P(B > x/u) du = int_0^1 exp(-beta x / u) du.
-  return math::integrate(
-      [beta, x](double u) {
-        return u > 0.0 ? std::exp(-beta * x / u) : 0.0;
-      },
-      0.0, 1.0, 1e-12);
-}
-
 double position_delay_uniform_mgf_numeric(int k, double beta, double s) {
   if (k < 1 || !(beta > 0.0)) {
     throw std::invalid_argument(

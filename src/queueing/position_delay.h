@@ -53,10 +53,6 @@ class ErlangMixture {
 [[nodiscard]] ErlangMixture position_delay_uniform_mixture(int k,
                                                            double beta);
 
-/// Tail P(U * B > x) with U ~ U(0,1), B ~ Exp(beta) — the K = 1 case of
-/// eq. (33), evaluated by quadrature (for completeness and tests).
-[[nodiscard]] double position_delay_uniform_tail_k1(double beta, double x);
-
 /// Direct numerical evaluation of eq. (30) — the MGF of the uniform
 /// position delay as an integral — used by tests to validate eq. (34).
 [[nodiscard]] double position_delay_uniform_mgf_numeric(int k, double beta,

@@ -19,59 +19,17 @@ std::int64_t bits(double v) noexcept {
   return std::bit_cast<std::int64_t>(v);
 }
 
-template <typename V>
-using CacheMap = std::map<Key, std::shared_ptr<const V>>;
-
 }  // namespace
 
 struct SolverCache::Impl {
   mutable std::mutex mu;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  CacheMap<GiEk1Solver> giek1;
-  CacheMap<MD1Solution> md1;
-
-  [[nodiscard]] std::size_t entries_locked() const {
-    return giek1.size() + md1.size();
-  }
+  std::map<Key, std::shared_ptr<const GiEk1Solver>> giek1;
 
   void note_entries_locked() {
     FPSQ_OBS_GAUGE_SET("queueing.cache.entries",
-                       static_cast<double>(entries_locked()));
-  }
-
-  /// Lookup/insert skeleton shared by the two solver kinds: the solve
-  /// itself runs outside the lock; a concurrent miss computes the same
-  /// canonical bits, and the first insert wins (both pointers are
-  /// equivalent, so either may be returned). `solve` returns an
-  /// err::Result<V>; failed solves count a miss but are never stored.
-  template <typename V, typename Solve>
-  err::Result<std::shared_ptr<const V>> get(CacheMap<V>& map,
-                                            const Key& key,
-                                            const obs::Counter& hit,
-                                            const obs::Counter& miss,
-                                            const Solve& solve) {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      const auto it = map.find(key);
-      if (it != map.end()) {
-        ++hits;
-        hit.add();
-        return it->second;
-      }
-    }
-    err::Result<V> solved = solve();
-    miss.add();
-    std::shared_ptr<const V> value;
-    if (solved.ok()) {
-      value = std::make_shared<const V>(std::move(solved).take_or_throw());
-    }
-    const std::lock_guard<std::mutex> lock(mu);
-    ++misses;
-    if (!value) return solved.error();
-    const auto [it, inserted] = map.emplace(key, std::move(value));
-    if (inserted) note_entries_locked();
-    return it->second;
+                       static_cast<double>(giek1.size()));
   }
 };
 
@@ -87,13 +45,12 @@ SolverCache& SolverCache::global() {
 void SolverCache::clear() {
   const std::lock_guard<std::mutex> lock(impl_->mu);
   impl_->giek1.clear();
-  impl_->md1.clear();
   impl_->note_entries_locked();
 }
 
 SolverCache::Stats SolverCache::stats() const {
   const std::lock_guard<std::mutex> lock(impl_->mu);
-  return {impl_->hits, impl_->misses, impl_->entries_locked()};
+  return {impl_->hits, impl_->misses, impl_->giek1.size()};
 }
 
 namespace {
@@ -122,44 +79,34 @@ err::Result<std::shared_ptr<const GiEk1Solver>> SolverCache::giek1_result(
     return std::make_shared<const GiEk1Solver>(
         std::move(solved).take_or_throw());
   }
+  // The solve runs outside the lock; a concurrent miss computes the
+  // same canonical bits, and the first insert wins (both pointers are
+  // equivalent, so either may be returned). Failed solves count a miss
+  // but are never stored.
   const Key key = giek1_key(k, mean_service_s, arrivals);
   const SolverNames& names = solver_names(arrivals);
-  return impl_->get(impl_->giek1, key, names.hits, names.misses, [&] {
-    return GiEk1Solver::create(k, mean_service_s, arrivals);
-  });
-}
-
-std::shared_ptr<const MD1Solution> SolverCache::md1(double lambda,
-                                                    double service_s) {
-  return md1_result(lambda, service_s).take_or_throw();
-}
-
-err::Result<std::shared_ptr<const MD1Solution>> SolverCache::md1_result(
-    double lambda, double service_s) {
-  const Key key{bits(lambda), bits(service_s)};
-  static const obs::Counter kHits =
-      obs::MetricsRegistry::global().counter("queueing.cache.md1.hits");
-  static const obs::Counter kMisses =
-      obs::MetricsRegistry::global().counter("queueing.cache.md1.misses");
-  return impl_->get(
-      impl_->md1, key, kHits, kMisses,
-      [&]() -> err::Result<MD1Solution> {
-        auto created = MD1::create(lambda, service_s);
-        if (!created.ok()) return created.error();
-        MD1 queue = std::move(created).take_or_throw();
-        try {
-          // The dominant-pole root search behind the MGF can fail to
-          // converge; surface that as a structured error.
-          ErlangMixMgf paper = queue.paper_mgf();
-          return MD1Solution{std::move(queue), std::move(paper)};
-        } catch (const std::exception& ex) {
-          const err::SolverError e{
-              err::SolverErrorCode::kNonConvergence,
-              std::string("MD1 single-pole MGF: ") + ex.what()};
-          err::record_failure(e);
-          return e;
-        }
-      });
+  {
+    const std::lock_guard<std::mutex> lock(impl_->mu);
+    const auto it = impl_->giek1.find(key);
+    if (it != impl_->giek1.end()) {
+      ++impl_->hits;
+      names.hits.add();
+      return it->second;
+    }
+  }
+  auto solved = GiEk1Solver::create(k, mean_service_s, arrivals);
+  names.misses.add();
+  std::shared_ptr<const GiEk1Solver> value;
+  if (solved.ok()) {
+    value = std::make_shared<const GiEk1Solver>(
+        std::move(solved).take_or_throw());
+  }
+  const std::lock_guard<std::mutex> lock(impl_->mu);
+  ++impl_->misses;
+  if (!value) return solved.error();
+  const auto [it, inserted] = impl_->giek1.emplace(key, std::move(value));
+  if (inserted) impl_->note_entries_locked();
+  return it->second;
 }
 
 }  // namespace fpsq::queueing

@@ -1,7 +1,8 @@
-// Thread-safe memoization of the transform-domain solvers, so that the
+// Thread-safe memoization of the E_K/1 burst-wait solver, so that the
 // sweep-shaped workloads (Tables 1-4, Figures 3-4, dimensioning
-// searches) never re-run a K-root zeta fixed-point search or an M/D/1
-// dominant-pole solve for parameters they have already seen.
+// searches) never re-run a K-root zeta search for parameters they have
+// already seen. The M/D/1 upstream is not memoized: its one-pole solve
+// costs about as much as a cache lookup.
 //
 // Keys are the exact bit patterns of the solver parameters, and the
 // stored value for a key is the canonical solve — the plain solver
@@ -12,8 +13,8 @@
 // That is what keeps parallel sweeps bit-identical to serial ones and
 // served answers bit-identical to one-shot runs.
 //
-// Observability: queueing.cache.{dek1,giek1,md1}.{hits,misses} counters
-// (E_K/1 lookups count under the family solver_names() picks for their
+// Observability: queueing.cache.{dek1,giek1}.{hits,misses} counters
+// (each lookup counts under the family solver_names() picks for its
 // arrival law) and the queueing.cache.entries gauge.
 #pragma once
 
@@ -22,21 +23,12 @@
 
 #include "err/error.h"
 #include "queueing/giek1.h"
-#include "queueing/mg1.h"
 
 namespace fpsq::queueing {
 
-/// An M/D/1 solution with its eq.-(14) MGF precomputed (the dominant
-/// pole is solved once instead of on every paper_mgf() call).
-struct MD1Solution {
-  MD1 queue;
-  ErlangMixMgf paper;  ///< eq. (14): atom 1 - rho
-};
-
 class SolverCache {
  public:
-  /// The process-global cache used by core::RttModel and the sweep
-  /// drivers.
+  /// The process-global cache used by core::RttModel.
   [[nodiscard]] static SolverCache& global();
 
   SolverCache();
@@ -67,17 +59,6 @@ class SolverCache {
   [[nodiscard]] err::Result<std::shared_ptr<const GiEk1Solver>>
   giek1_result(int k, double mean_service_s,
                const ArrivalTransform& arrivals);
-
-  /// M/D/1 solution for (lambda, d) with both single-pole MGFs built.
-  /// Throwing wrapper over md1_result().
-  [[nodiscard]] std::shared_ptr<const MD1Solution> md1(double lambda,
-                                                       double service_s);
-
-  /// Checked variant of md1(): parameter/stability errors come from
-  /// MD1::create; a dominant-pole search failure while building the
-  /// single-pole MGFs maps to kNonConvergence. Failures are never cached.
-  [[nodiscard]] err::Result<std::shared_ptr<const MD1Solution>> md1_result(
-      double lambda, double service_s);
 
  private:
   struct Impl;

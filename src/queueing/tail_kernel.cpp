@@ -237,21 +237,6 @@ double TailKernel::density(double x) const {
   return evaluate(x, real_dens_, cplx_dens_cos_, cplx_dens_sin_);
 }
 
-void TailKernel::tail_many(std::span<const double> xs,
-                           std::span<double> out) const {
-  if (xs.size() != out.size()) {
-    throw std::invalid_argument("TailKernel::tail_many: size mismatch");
-  }
-  FPSQ_OBS_COUNT_N("queueing.kernel.tail_evals",
-                   static_cast<std::uint64_t>(xs.size()));
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    out[i] = xs[i] <= 0.0
-                 ? 1.0 - atom_
-                 : evaluate(xs[i], real_tail_, cplx_tail_cos_,
-                            cplx_tail_sin_);
-  }
-}
-
 double TailKernel::quantile(double epsilon) const {
   if (!(epsilon > 0.0 && epsilon < 1.0)) {
     throw std::invalid_argument("TailKernel::quantile: epsilon in (0,1)");

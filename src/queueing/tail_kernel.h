@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "queueing/erlang_mix.h"
@@ -62,10 +61,6 @@ class TailKernel {
   /// Density of the absolutely-continuous part at x > 0.
   [[nodiscard]] double density(double x) const;
 
-  /// Batched tails: out[i] = tail(xs[i]). xs and out must have equal
-  /// length (out may alias xs).
-  void tail_many(std::span<const double> xs, std::span<double> out) const;
-
   /// Smallest x >= 0 with tail(x) <= epsilon, by safeguarded Newton.
   /// @throws err::SolverFailure (kNonConvergence) on inversion failure
   [[nodiscard]] double quantile(double epsilon) const;
@@ -78,10 +73,6 @@ class TailKernel {
   /// True when no pole of V took the series form (always true for the
   /// single-law constructors).
   [[nodiscard]] bool closed_form() const noexcept { return closed_form_; }
-  /// Number of compiled pole groups (real poles + conjugate pairs).
-  [[nodiscard]] std::size_t group_count() const noexcept {
-    return real_decay_.size() + cplx_decay_.size();
-  }
 
  private:
   void compile(double constant,

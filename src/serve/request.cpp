@@ -52,9 +52,11 @@ core::AccessScenario scenario_field(const Value& root) {
     for (const char* k : kScenarioKeys) known = known || key == k;
     if (!known) fail("unknown scenario key '" + key + "'");
   }
+  // K >= 2: the combined model's uniform-position law (eq. 34) has
+  // K - 1 Erlang phases, so no op can evaluate K = 1.
   const double k = number_field(*sc, "k", 9.0);
-  require(k >= 1.0 && k <= 512.0 && k == std::floor(k), "k",
-          "an integer in [1, 512]");
+  require(k >= 2.0 && k <= 512.0 && k == std::floor(k), "k",
+          "an integer in [2, 512]");
   s.erlang_k = static_cast<int>(k);
   s.tick_ms = number_field(*sc, "tick", 40.0);
   s.server_packet_bytes = number_field(*sc, "ps", 125.0);

@@ -4,9 +4,8 @@
 
 namespace fpsq::sim {
 
-DelayTap::DelayTap(double warmup_s, bool store_samples,
-                   double p2_probability)
-    : warmup_s_(warmup_s), p2_(p2_probability) {
+DelayTap::DelayTap(double warmup_s, bool store_samples)
+    : warmup_s_(warmup_s) {
   if (store_samples) {
     samples_.emplace();
   }
@@ -15,7 +14,6 @@ DelayTap::DelayTap(double warmup_s, bool store_samples,
 void DelayTap::record(double now_s, double delay_s) {
   if (now_s < warmup_s_) return;
   moments_.add(delay_s);
-  p2_.add(delay_s);
   if (samples_) {
     samples_->add(delay_s);
   }

@@ -1,6 +1,6 @@
-// Delay measurement taps: streaming moments + P2 quantile estimates +
-// (optionally) full sample retention for exact empirical quantiles, with
-// a warm-up cutoff so transients do not bias steady-state statistics.
+// Delay measurement taps: streaming moments + (optionally) full sample
+// retention for exact empirical quantiles, with a warm-up cutoff so
+// transients do not bias steady-state statistics.
 #pragma once
 
 #include <optional>
@@ -8,17 +8,14 @@
 
 #include "stats/empirical.h"
 #include "stats/moments.h"
-#include "stats/quantile.h"
 
 namespace fpsq::sim {
 
 class DelayTap {
  public:
-  /// @param warmup_s        ignore samples with timestamp < warmup_s
-  /// @param store_samples   retain all samples for exact quantiles
-  /// @param p2_probability  quantile tracked by the streaming estimator
-  explicit DelayTap(double warmup_s = 0.0, bool store_samples = false,
-                    double p2_probability = 0.99999);
+  /// @param warmup_s       ignore samples with timestamp < warmup_s
+  /// @param store_samples  retain all samples for exact quantiles
+  explicit DelayTap(double warmup_s = 0.0, bool store_samples = false);
 
   /// Records a delay observed at simulation time `now_s`.
   void record(double now_s, double delay_s);
@@ -26,12 +23,6 @@ class DelayTap {
   [[nodiscard]] const stats::Moments& moments() const noexcept {
     return moments_;
   }
-  /// Streaming quantile estimate (P2).
-  [[nodiscard]] double p2_quantile() const { return p2_.value(); }
-  [[nodiscard]] double p2_probability() const noexcept {
-    return p2_.probability();
-  }
-
   /// Exact empirical quantile; requires store_samples = true.
   [[nodiscard]] double exact_quantile(double p) const;
 
@@ -46,7 +37,6 @@ class DelayTap {
  private:
   double warmup_s_;
   stats::Moments moments_;
-  stats::P2Quantile p2_;
   std::optional<stats::Empirical> samples_;
 };
 

@@ -155,44 +155,4 @@ GameProfile unreal_tournament(int players) {
   return p;
 }
 
-std::vector<GameProfile> all_profiles() {
-  return {counter_strike(), half_life(), quake3(12), halo(12),
-          unreal_tournament(12)};
-}
-
-GameProfile custom_profile(const CustomProfileSpec& spec) {
-  if (spec.name.empty() || !(spec.client_iat_ms > 0.0) ||
-      !(spec.client_packet_bytes > 0.0) || !(spec.tick_ms > 0.0) ||
-      !(spec.server_packet_bytes > 0.0) || spec.burst_erlang_k < 1 ||
-      spec.nominal_players < 1 || spec.client_iat_cov < 0.0 ||
-      spec.client_packet_cov < 0.0 || spec.tick_cov < 0.0 ||
-      spec.within_burst_cov < 0.0) {
-    throw std::invalid_argument("custom_profile: invalid spec");
-  }
-  auto law = [](double mean, double cov) -> DistributionPtr {
-    return cov > 0.0 ? gamma_mc(mean, cov) : det(mean);
-  };
-  auto size_law = [](double mean, double cov) -> DistributionPtr {
-    return cov > 0.0 ? lognormal_mc(mean, cov) : det(mean);
-  };
-  GameProfile p;
-  p.name = spec.name;
-  p.citation = "user-defined (traffic::custom_profile)";
-  p.client_streams = {
-      {law(spec.client_iat_ms, spec.client_iat_cov),
-       size_law(spec.client_packet_bytes, spec.client_packet_cov)}};
-  p.server.burst_iat_ms = law(spec.tick_ms, spec.tick_cov);
-  p.server.mode = ServerTrafficModel::SizeMode::kBurstTotal;
-  p.server.burst_total_bytes = std::make_shared<dist::Erlang>(
-      dist::Erlang::from_mean(spec.burst_erlang_k,
-                              spec.server_packet_bytes *
-                                  static_cast<double>(spec.nominal_players)));
-  p.server.nominal_clients = spec.nominal_players;
-  p.server.within_burst_cov = spec.within_burst_cov;
-  p.nominal_tick_ms = spec.tick_ms;
-  p.nominal_client_packet_bytes = spec.client_packet_bytes;
-  p.nominal_server_packet_bytes = spec.server_packet_bytes;
-  return p;
-}
-
 }  // namespace fpsq::traffic

@@ -57,30 +57,4 @@ struct GameProfile {
 /// (CoV 0.06). Nominal player count of the measured LAN party: 12.
 [[nodiscard]] GameProfile unreal_tournament(int players = 12);
 
-/// All built-in profiles at their default parameters (players = 12 where
-/// a count is needed), for sweep-style tooling.
-[[nodiscard]] std::vector<GameProfile> all_profiles();
-
-/// Parameters for a user-defined FPS-style game.
-struct CustomProfileSpec {
-  std::string name = "CustomGame";
-  double client_iat_ms = 40.0;       ///< client period
-  double client_iat_cov = 0.0;       ///< 0 = deterministic
-  double client_packet_bytes = 80.0;
-  double client_packet_cov = 0.0;
-  double tick_ms = 40.0;             ///< server tick
-  double tick_cov = 0.0;
-  double server_packet_bytes = 125.0;  ///< mean per-client share
-  /// Burst-size Erlang order; the generator draws burst totals from
-  /// Erlang(K, mean = players * server_packet_bytes).
-  int burst_erlang_k = 9;
-  int nominal_players = 12;
-  double within_burst_cov = 0.08;
-};
-
-/// Builds a profile from explicit parameters — for games not in the
-/// survey, or for sensitivity studies over traffic shapes. Deterministic
-/// laws are used where a CoV is 0, Gamma/lognormal otherwise.
-[[nodiscard]] GameProfile custom_profile(const CustomProfileSpec& spec);
-
 }  // namespace fpsq::traffic

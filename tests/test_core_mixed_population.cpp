@@ -15,7 +15,7 @@ TEST(MixedUpstream, SingleClassMatchesMD1Form) {
   // rho = 8*80*80 / (0.04 * 5e6) = 0.256.
   EXPECT_NEAR(m.rho(), 0.256, 1e-12);
   EXPECT_NEAR(m.total_packet_rate(), 80.0 / 0.04, 1e-9);
-  const auto f = m.mgf(true);
+  const auto f = m.mgf();
   EXPECT_NEAR(f.total_mass(), 1.0, 1e-12);
   EXPECT_NEAR(f.tail(0.0), 0.256, 1e-12);  // eq. 14 atom
 }
@@ -54,7 +54,7 @@ TEST(MixedUpstream, QuantileMatchesMonteCarlo) {
       },
       600000, 3000, 555);
   // Exact-residue variant at a simulable quantile.
-  EXPECT_NEAR(m.mgf(false).quantile(1e-2) * 1e3,
+  EXPECT_NEAR(m.queue().asymptotic_mgf().quantile(1e-2) * 1e3,
               mc.quantile(0.99) * 1e3,
               0.15 * mc.quantile(0.99) * 1e3 + 1e-3);
   EXPECT_NEAR(m.mean_wait_ms(), mc.mean() * 1e3,

@@ -102,19 +102,14 @@ TEST(MultiServer, MoreServersAtFixedLoadSmoothsPerServerBursts) {
 TEST(MultiServer, ExactAndAsymptoticWaitFormsAgreeInTheTail) {
   const std::vector<GameServerSpec> servers = {{40.0, 9, 5000.0},
                                                {60.0, 5, 4000.0}};
-  const MultiServerDownstreamModel exact{
-      servers, 10e6, MultiServerDownstreamModel::WaitForm::kExact};
-  const MultiServerDownstreamModel asym{
-      servers, 10e6, MultiServerDownstreamModel::WaitForm::kAsymptotic};
-  EXPECT_TRUE(exact.exact_wait());
-  EXPECT_FALSE(asym.exact_wait());
+  const MultiServerDownstreamModel m{servers, 10e6};
+  // The exact form is the one in use here (total order 14).
+  EXPECT_TRUE(m.exact_wait());
+  const queueing::MG1ErlangMixService& q = m.queue();
+  const double exact = q.full_mgf().quantile(1e-6);
+  EXPECT_DOUBLE_EQ(m.burst_wait_quantile_ms(1e-6), exact * 1e3);
   // Deep quantiles converge (same dominant pole).
-  EXPECT_NEAR(exact.burst_wait_quantile_ms(1e-6) /
-                  asym.burst_wait_quantile_ms(1e-6),
-              1.0, 0.05);
-  // Auto picks exact here (total order 14).
-  const MultiServerDownstreamModel auto_form{servers, 10e6};
-  EXPECT_TRUE(auto_form.exact_wait());
+  EXPECT_NEAR(exact / q.asymptotic_mgf().quantile(1e-6), 1.0, 0.05);
 }
 
 TEST(MultiServer, IdenticalServersReduceTheTransformOrder) {

@@ -100,12 +100,10 @@ TEST(RttModel, BreakdownIsConsistent) {
 TEST(RttModel, MethodOrdering) {
   const AccessScenario s = fig3_scenario(9);
   const RttModel m{s, s.clients_for_downlink_load(0.6)};
-  const double exact =
-      m.stochastic_quantile_ms(1e-5, CombinationMethod::kFullInversion);
-  const double chern =
-      m.stochastic_quantile_ms(1e-5, CombinationMethod::kChernoff);
-  const double soq =
-      m.stochastic_quantile_ms(1e-5, CombinationMethod::kSumOfQuantiles);
+  const double exact = m.stochastic_quantile_ms(1e-5);
+  const double chern = chernoff_quantile_ms(m, 1e-5);
+  const auto b = m.breakdown_ms(1e-5);
+  const double soq = b.upstream_ms + b.burst_ms + b.position_ms;
   EXPECT_GE(chern, exact * 0.999);
   EXPECT_GE(soq, exact * 0.999);
   // Both stay within a reasonable factor.
@@ -118,10 +116,8 @@ TEST(RttModel, DominantPoleReasonableAtHighLoad) {
   // dominant-pole method should be within tens of percent of exact.
   const AccessScenario s = fig3_scenario(9);
   const RttModel m{s, s.clients_for_downlink_load(0.85)};
-  const double exact =
-      m.stochastic_quantile_ms(1e-5, CombinationMethod::kFullInversion);
-  const double dom =
-      m.stochastic_quantile_ms(1e-5, CombinationMethod::kDominantPole);
+  const double exact = m.stochastic_quantile_ms(1e-5);
+  const double dom = dominant_pole_quantile_ms(m, 1e-5);
   EXPECT_NEAR(dom / exact, 1.0, 0.35);
 }
 

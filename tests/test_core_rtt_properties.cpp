@@ -60,12 +60,10 @@ TEST_P(RttGrid, TailIsMonotoneAndBounded) {
 
 TEST_P(RttGrid, ChernoffAndSumOfQuantilesAreConservative) {
   const auto m = model();
-  const double exact =
-      m.stochastic_quantile_ms(1e-5, CombinationMethod::kFullInversion);
-  const double chern =
-      m.stochastic_quantile_ms(1e-5, CombinationMethod::kChernoff);
-  const double soq =
-      m.stochastic_quantile_ms(1e-5, CombinationMethod::kSumOfQuantiles);
+  const double exact = m.stochastic_quantile_ms(1e-5);
+  const double chern = chernoff_quantile_ms(m, 1e-5);
+  const auto b = m.breakdown_ms(1e-5);
+  const double soq = b.upstream_ms + b.burst_ms + b.position_ms;
   EXPECT_GE(chern, exact * 0.999);
   EXPECT_GE(soq, exact * 0.999);
   EXPECT_LT(chern, 2.2 * exact);

@@ -7,7 +7,6 @@
 
 #include "dist/dist.h"
 #include "stats/empirical.h"
-#include "stats/histogram.h"
 
 namespace fpsq::dist {
 namespace {
@@ -21,18 +20,6 @@ TEST(ErlangMomentFit, PaperKEquals28) {
 
 TEST(ErlangMomentFit, ClampsToOne) {
   EXPECT_EQ(erlang_fit_moments(10.0, 5.0).k(), 1);
-}
-
-TEST(ExtremeMomentFit, RoundTrip) {
-  const Extreme e = extreme_fit_moments(62.0, 0.5);
-  EXPECT_NEAR(e.mean(), 62.0, 1e-9);
-  EXPECT_NEAR(e.cov(), 0.5, 1e-9);
-}
-
-TEST(LognormalMomentFit, RoundTrip) {
-  const Lognormal l = lognormal_fit_moments(127.0, 0.74);
-  EXPECT_NEAR(l.mean(), 127.0, 1e-9);
-  EXPECT_NEAR(l.cov(), 0.74, 1e-9);
 }
 
 TEST(ErlangTailFit, RecoversTrueOrderFromExactTdf) {
@@ -87,30 +74,6 @@ TEST(ErlangTailFit, GuardsArguments) {
   EXPECT_THROW(erlang_fit_tail(1.0, pts, 5, 2), std::invalid_argument);
   std::vector<TdfPoint> empty;
   EXPECT_THROW(erlang_fit_tail(1.0, empty), std::invalid_argument);
-}
-
-TEST(ExtremeLsPdfFit, RecoversParametersFromHistogram) {
-  // Faerber's procedure: histogram a sample of Ext(120, 36), least-squares
-  // fit the density.
-  const Extreme truth{120.0, 36.0};
-  Rng rng{77};
-  stats::Histogram h{0.0, 400.0, 80};
-  for (int i = 0; i < 300000; ++i) {
-    h.add(truth.sample(rng));
-  }
-  std::vector<PdfPoint> pts;
-  const auto dens = h.densities();
-  for (std::size_t b = 0; b < h.bins(); ++b) {
-    pts.push_back({h.bin_center(b), dens[b]});
-  }
-  const Extreme fit = extreme_fit_pdf_ls(pts, 140.0, 50.0);
-  EXPECT_NEAR(fit.a(), 120.0, 3.0);
-  EXPECT_NEAR(fit.b(), 36.0, 3.0);
-}
-
-TEST(ExtremeLsPdfFit, RejectsEmptyInput) {
-  std::vector<PdfPoint> empty;
-  EXPECT_THROW(extreme_fit_pdf_ls(empty, 1.0, 1.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -23,8 +23,6 @@ std::vector<std::shared_ptr<Distribution>> laws() {
       std::make_shared<Normal>(-3.0, 1.7),
       std::make_shared<Lognormal>(0.2, 0.6),
       std::make_shared<Extreme>(55.0, 6.0),
-      std::make_shared<Weibull>(2.3, 10.0),
-      std::make_shared<Shifted>(std::make_shared<Erlang>(3, 1.0), 5.0),
       std::make_shared<Mixture>(std::vector<Mixture::Component>{
           {0.5, std::make_shared<Exponential>(1.0)},
           {0.5, std::make_shared<Exponential>(0.1)}}),

@@ -18,7 +18,7 @@ TEST(GiEk1, ErlangArrivalsMatchLindleyMonteCarlo) {
   // development to 4 decimals).
   const int m = 3, k = 9;
   const double nu = 3.0, rho = 0.6;
-  const GiEk1Solver q{k, rho, erlang_arrivals(m, nu)};
+  const GiEk1Solver q{k, rho, gamma_arrivals(m, nu)};
   const dist::Erlang iat{m, nu};
   const dist::Erlang svc = dist::Erlang::from_mean(k, rho);
   LindleyOptions opt;
@@ -229,7 +229,7 @@ TEST(GiEk1, TelemetryNamesFollowTheArrivalLaw) {
       solver_names(gamma_arrivals_mean_cov(0.04, 0.07));
   EXPECT_STREQ(jit.site, "queueing.giek1");
   EXPECT_STREQ(jit.cache_misses, "queueing.cache.giek1.misses");
-  EXPECT_STREQ(solver_names(erlang_arrivals(3, 1.0)).site,
+  EXPECT_STREQ(solver_names(gamma_arrivals(3.0, 1.0)).site,
                "queueing.giek1");
 }
 
@@ -239,7 +239,7 @@ TEST(GiEk1, Guards) {
   EXPECT_THROW(GiEk1Solver(2, 1.0, deterministic_arrivals(1.0)),
                std::invalid_argument);  // rho = 1
   EXPECT_THROW(deterministic_arrivals(0.0), std::invalid_argument);
-  EXPECT_THROW(erlang_arrivals(0, 1.0), std::invalid_argument);
+  EXPECT_THROW(gamma_arrivals(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(gamma_arrivals(-1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(gamma_arrivals_mean_cov(1.0, 0.0), std::invalid_argument);
 }

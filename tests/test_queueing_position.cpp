@@ -65,22 +65,6 @@ TEST(PositionDelay, MatchesMonteCarlo) {
   }
 }
 
-TEST(PositionDelay, K1LogFormTail) {
-  // K = 1: P(U * Exp(beta) > x) by quadrature; sanity against MC.
-  const double beta = 2.0;
-  dist::Rng rng{12};
-  int above = 0;
-  const int n = 200000;
-  const double x = 0.8;
-  for (int i = 0; i < n; ++i) {
-    if (rng.uniform01() * rng.exponential(beta) > x) ++above;
-  }
-  const double mc = static_cast<double>(above) / n;
-  EXPECT_NEAR(position_delay_uniform_tail_k1(beta, x), mc,
-              5.0 * std::sqrt(mc / n) + 1e-4);
-  EXPECT_DOUBLE_EQ(position_delay_uniform_tail_k1(beta, 0.0), 1.0);
-}
-
 TEST(PositionDelay, Guards) {
   EXPECT_THROW(position_delay_uniform_mixture(1, 2.0),
                std::invalid_argument);

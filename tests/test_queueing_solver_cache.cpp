@@ -9,7 +9,6 @@
 
 #include "obs/metrics.h"
 #include "queueing/giek1.h"
-#include "queueing/mg1.h"
 
 namespace queueing = fpsq::queueing;
 using queueing::SolverCache;
@@ -109,21 +108,10 @@ TEST(SolverCache, Giek1FactoriesMemoizeCustomTransformsDoNot) {
   EXPECT_EQ(c1->wait_quantile(1e-5), c2->wait_quantile(1e-5));
 }
 
-TEST(SolverCache, Md1SolutionMatchesFreshQueue) {
-  SolverCache cache;
-  const double lambda = 1500.0, service = 1.28e-4;
-  const auto sol = cache.md1(lambda, service);
-  const queueing::MD1 fresh{lambda, service};
-  EXPECT_EQ(sol->queue.rho(), fresh.rho());
-  const auto paper = fresh.paper_mgf();
-  EXPECT_EQ(sol->paper.quantile(1e-5), paper.quantile(1e-5));
-  EXPECT_EQ(cache.md1(lambda, service).get(), sol.get());
-}
-
 TEST(SolverCache, ClearDropsEntries) {
   SolverCache cache;
   (void)dek1(cache, 9, 0.018, 0.040);
-  (void)cache.md1(1500.0, 1.28e-4);
+  (void)dek1(cache, 9, 0.020, 0.040);
   EXPECT_EQ(cache.stats().entries, 2u);
   cache.clear();
   EXPECT_EQ(cache.stats().entries, 0u);

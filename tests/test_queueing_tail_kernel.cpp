@@ -147,21 +147,6 @@ TEST(TailKernel, QuantileRoundTripsOnSeriesPath) {
   }
 }
 
-TEST(TailKernel, TailManyMatchesScalarTail) {
-  const GiEk1Solver w{9, 0.7, deterministic_arrivals(1.0)};
-  const auto y = position_delay_uniform_mixture(9, w.beta());
-  const TailKernel kern{w.waiting_mgf(), y};
-  std::vector<double> xs;
-  for (double x = -0.5; x <= 6.0; x += 0.131) xs.push_back(x);
-  std::vector<double> out(xs.size());
-  kern.tail_many(xs, out);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(out[i], kern.tail(xs[i])) << "i=" << i;
-  }
-  std::vector<double> short_out(2);
-  EXPECT_THROW(kern.tail_many(xs, short_out), std::invalid_argument);
-}
-
 TEST(TailKernel, QuantileValidatesEpsilonAndHandlesAtom) {
   const auto v = ErlangMixMgf::atom_plus_exponential(0.99, {1.0, 0.0});
   const TailKernel kern{v};

@@ -115,6 +115,24 @@ TEST(ServeEngine, BadRequestGetsStructuredResponse) {
   EXPECT_NO_THROW((void)obs::json::parse(responses[0]));
 }
 
+TEST(ServeEngine, ErlangOrderOneIsABadRequestForEveryOp) {
+  // K = 1 has no uniform-position law (eq. 34 needs K >= 2): it must be
+  // rejected up front, not answered by the sweep's Kingman substitute.
+  Engine engine;
+  const auto responses = engine.execute(
+      {admitted(R"({"id":"r","op":"rtt","scenario":{"k":1}})"),
+       admitted(R"({"id":"d","op":"dimension","scenario":{"k":1}})"),
+       admitted(R"({"id":"s","op":"sweep","scenario":{"k":1}})")});
+  ASSERT_EQ(responses.size(), 3u);
+  for (const auto& r : responses) {
+    EXPECT_EQ(error_code_of(r), "bad_request") << r;
+    EXPECT_NE(r.find("'k' must be an integer in [2, 512]"),
+              std::string::npos)
+        << r;
+  }
+  EXPECT_TRUE(parse_request(R"({"op":"sweep","scenario":{"k":2}})").ok);
+}
+
 TEST(ServeEngine, UnstableScenarioMapsToErrTaxonomy) {
   Engine engine;
   // N = 500 puts the downlink load at 2.5: kUnstable from the taxonomy.

@@ -8,7 +8,6 @@
 #include "stats/empirical.h"
 #include "stats/histogram.h"
 #include "stats/moments.h"
-#include "stats/quantile.h"
 
 namespace fpsq::stats {
 namespace {
@@ -133,77 +132,6 @@ TEST(Empirical, KsDistanceOfPerfectFitIsSmall) {
     return x < 0 ? 0.0 : (x > 1 ? 1.0 : x);
   });
   EXPECT_LT(ks, 2.0 / std::sqrt(double(n)));
-}
-
-TEST(P2Quantile, MatchesExactOnLargeSample) {
-  dist::Rng rng{4};
-  P2Quantile p2{0.95};
-  Empirical exact;
-  for (int i = 0; i < 100000; ++i) {
-    const double x = rng.exponential(1.0);
-    p2.add(x);
-    exact.add(x);
-  }
-  EXPECT_NEAR(p2.value(), exact.quantile(0.95), 0.05);
-}
-
-TEST(P2Quantile, SmallSampleIsExact) {
-  P2Quantile p2{0.5};
-  p2.add(3.0);
-  p2.add(1.0);
-  p2.add(2.0);
-  EXPECT_DOUBLE_EQ(p2.value(), 2.0);
-}
-
-// Degenerate streams: constant input collapses all five markers onto one
-// height, which makes every parabolic numerator/denominator zero. The
-// guarded update must fall back to the (zero-increment) linear path and
-// keep the estimate exact instead of dividing by zero.
-TEST(P2Quantile, ConstantInputStaysExact) {
-  for (const double p : {0.5, 0.95, 0.99999}) {
-    P2Quantile p2{p};
-    for (int i = 0; i < 1000; ++i) p2.add(7.25);
-    EXPECT_EQ(p2.value(), 7.25) << "p = " << p;
-    EXPECT_TRUE(std::isfinite(p2.value()));
-  }
-}
-
-// Near-degenerate: long runs of duplicates separated by a few distinct
-// values exercise the equal-adjacent-heights branch (parabolic estimate
-// rejected, linear fallback position-guarded) without ever leaving the
-// sample range.
-TEST(P2Quantile, MassiveDuplicatesStayInRange) {
-  P2Quantile p2{0.9};
-  for (int i = 0; i < 500; ++i) {
-    p2.add(5.0);
-    if (i % 100 == 0) p2.add(1.0);
-    if (i % 250 == 0) p2.add(9.0);
-  }
-  EXPECT_TRUE(std::isfinite(p2.value()));
-  EXPECT_GE(p2.value(), 1.0);
-  EXPECT_LE(p2.value(), 9.0);
-  EXPECT_NEAR(p2.value(), 5.0, 0.05);  // the 90th pctile of this mix
-}
-
-// The first five samples are stored verbatim (bootstrap): the estimate
-// must be the exact order statistic for n < 5, duplicates included.
-TEST(P2Quantile, BootstrapHandlesDuplicates) {
-  P2Quantile p2{0.5};
-  p2.add(2.0);
-  p2.add(2.0);
-  EXPECT_DOUBLE_EQ(p2.value(), 2.0);
-  p2.add(2.0);
-  p2.add(1.0);
-  EXPECT_TRUE(std::isfinite(p2.value()));
-  EXPECT_GE(p2.value(), 1.0);
-  EXPECT_LE(p2.value(), 2.0);
-}
-
-TEST(P2Quantile, GuardsConstruction) {
-  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-  P2Quantile p{0.9};
-  EXPECT_THROW(p.value(), std::logic_error);
 }
 
 TEST(BatchMeans, RecoversMeanWithSaneInterval) {

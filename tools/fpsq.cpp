@@ -333,8 +333,8 @@ int cmd_dimension(const Args& args) {
     core::DimensioningTableSpec spec;
     spec.scenario = req.scenario;
     for (const double k : args.numbers("ks")) {
-      args.require(k >= 1.0 && k <= 512.0 && k == std::floor(k), "ks",
-                   "a list of integers in [1, 512]");
+      args.require(k >= 2.0 && k <= 512.0 && k == std::floor(k), "ks",
+                   "a list of integers in [2, 512]");
       spec.ks.push_back(static_cast<int>(k));
     }
     if (spec.ks.empty()) spec.ks.push_back(req.scenario.erlang_k);
@@ -875,7 +875,8 @@ const char* usage_text(const std::string& topic) {
          "commands: rtt report dimension sweep serve check generate"
          " analyze replay validate profile benchdiff help\n\n"
          "scenario flags (defaults = paper Section 4):\n"
-         "  --k 9          burst-size Erlang order\n"
+         "  --k 9          burst-size Erlang order, an integer in\n"
+         "                 [2, 512]\n"
          "  --tick 40      tick interval T [ms]\n"
          "  --ps 125       mean server packet size P_S [bytes]\n"
          "  --pc 80        client packet size P_C [bytes]\n"
