@@ -27,6 +27,7 @@
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
+#include "par/thread_pool.h"
 
 namespace fpsq::bench {
 
@@ -86,8 +87,12 @@ class JsonReport {
     }
     line += "},";
     append_registry_telemetry(line);
+    // The manifest reports the pool the bench ran on (FPSQ_THREADS or a
+    // set_global_thread_count), as the CLI's manifests do.
+    obs::RunManifest& manifest = obs::RunManifest::current();
+    manifest.threads = par::global_thread_count();
     line += "\"manifest\":";
-    line += obs::RunManifest::current().to_json();
+    line += manifest.to_json();
     line += "}";
     std::printf("%s\n", line.c_str());
   }

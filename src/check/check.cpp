@@ -3,8 +3,10 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <utility>
 
+#include "core/dimensioning.h"
 #include "core/rtt_model.h"
 #include "core/validation.h"
 #include "obs/metrics.h"
@@ -32,6 +34,10 @@ constexpr double kBoundRel = 1e-9;    // one-sided quantile relations:
 constexpr double kBoundAbsMs = 1e-9;  // rounding slack (1e-12 s)
 /// Relative gamer-count step of the load-monotonicity relation.
 constexpr double kLoadStep = 1e-3;
+/// Width of dimension_for_rtt's final load bracket.
+constexpr double kRhoBracket = 1e-4;
+/// Bound growth of the dimensioning monotonicity relation.
+constexpr double kBoundGrowth = 1.1;
 
 /// Tail abscissae probed per law, as multiples of the mean: body,
 /// shoulder, and deep tail where the pole expansions disagree first.
@@ -54,6 +60,14 @@ std::string describe(const CheckPoint& p) {
   append_g(d, "jitter", p.scenario.tick_jitter_cov);
   append_g(d, "eps", p.epsilon);
   return d;
+}
+
+/// Solver rejections that are legitimate corpus holes (nothing to
+/// compare) rather than findings.
+bool corpus_hole(err::SolverErrorCode code) {
+  return code == err::SolverErrorCode::kBadParameters ||
+         code == err::SolverErrorCode::kUnstable ||
+         code == err::SolverErrorCode::kPoleClash;
 }
 
 /// Everything one corpus point produces; aggregated in index order by
@@ -142,9 +156,7 @@ class PointChecker {
   /// rejections are legitimate corpus holes (skipped); numeric failures
   /// on an admissible point are findings.
   void solver_gate(const err::SolverError& e, const char* where) {
-    if (e.code == err::SolverErrorCode::kBadParameters ||
-        e.code == err::SolverErrorCode::kUnstable ||
-        e.code == err::SolverErrorCode::kPoleClash) {
+    if (corpus_hole(e.code)) {
       out_.skipped = true;
       return;
     }
@@ -261,6 +273,7 @@ class PointChecker {
 
     check_breakdown(m);
     check_load_monotone(m);
+    check_dimension(m);
 
     const queueing::TailKernel down = m.downstream_kernel();
     for (const double mult : {0.5, 2.0, 8.0}) {
@@ -314,10 +327,7 @@ class PointChecker {
     auto heavier = core::RttModel::create(
         p_.scenario, p_.n_clients * (1.0 + kLoadStep));
     if (!heavier) {
-      const err::SolverErrorCode code = heavier.error().code;
-      if (code != err::SolverErrorCode::kBadParameters &&
-          code != err::SolverErrorCode::kUnstable &&
-          code != err::SolverErrorCode::kPoleClash) {
+      if (!corpus_hole(heavier.error().code)) {
         solver_mismatch(heavier.error(), "rtt_model_heavier", p_.epsilon);
       }
       return;
@@ -329,6 +339,63 @@ class PointChecker {
     } catch (const err::SolverFailure& e) {
       solver_mismatch(e.error(), "rtt_quantile_heavier", p_.epsilon);
     }
+  }
+
+  /// dimension_for_rtt against the model it inverts. With the bound at
+  /// this point's own RTT quantile the point's load is feasible, so the
+  /// bisection must return a load at most one bracket below it whose
+  /// RTT meets the bound, one bracket above which the bound is missed
+  /// (unless that step leaves the stability region), and a looser bound
+  /// never admits less load. A zero stochastic quantile puts the bound
+  /// at the deterministic RTT, where dimension_for_rtt answers "no load"
+  /// by definition, so those points have nothing to bracket.
+  void check_dimension(const core::RttModel& m) {
+    const double eps = p_.epsilon;
+    double bound = 0.0;
+    try {
+      bound = m.rtt_quantile_ms(eps);
+    } catch (const err::SolverFailure& e) {
+      solver_mismatch(e.error(), "rtt_quantile", eps);
+      return;
+    }
+    if (!(bound > p_.scenario.deterministic_rtt_ms())) return;
+    const auto dim = dimension("dimension", bound);
+    const auto looser = dimension("dimension_looser", kBoundGrowth * bound);
+    if (!dim || !looser) return;
+    constexpr PathPair kPair = PathPair::kDimensionBracket;
+    at_most(kPair, "rtt_at_max_le_bound", dim->rtt_at_max_ms, bound);
+    at_most(kPair, "point_load_le_rho_max", p_.rho_down - kRhoBracket,
+            dim->rho_max);
+    at_most(kPair, "rho_max_grows_with_bound", dim->rho_max,
+            looser->rho_max);
+    auto above = core::RttModel::create(
+        p_.scenario,
+        p_.scenario.clients_for_downlink_load(dim->rho_max + kRhoBracket));
+    if (!above) {
+      if (!corpus_hole(above.error().code)) {
+        solver_mismatch(above.error(), "rtt_model_above_rho_max", eps);
+      }
+      return;
+    }
+    try {
+      at_most(kPair, "bound_missed_above_rho_max", bound,
+              above.value().rtt_quantile_ms(eps));
+    } catch (const err::SolverFailure& e) {
+      solver_mismatch(e.error(), "rtt_quantile_above_rho_max", eps);
+    }
+  }
+
+  /// dimension_for_rtt_checked at `bound`; nullopt when it has no answer
+  /// (a numeric failure is recorded as a finding).
+  std::optional<core::DimensioningResult> dimension(const char* what,
+                                                    double bound) {
+    auto result =
+        core::dimension_for_rtt_checked(p_.scenario, bound, p_.epsilon);
+    if (result.ok()) return result.value();
+    if (!corpus_hole(result.error().code)) {
+      solver_mismatch(result.error(), what, p_.epsilon);
+    }
+    return std::nullopt;
   }
 
   /// One-sided relation lo <= hi, up to rounding slack.
@@ -502,6 +569,7 @@ const char* path_pair_name(PathPair pair) noexcept {
     case PathPair::kSolverHealth: return "solver_health";
     case PathPair::kBreakdownBounds: return "breakdown_bounds";
     case PathPair::kLoadMonotone: return "load_monotone";
+    case PathPair::kDimensionBracket: return "dimension_bracket";
   }
   return "?";
 }

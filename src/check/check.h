@@ -23,6 +23,8 @@
 //   breakdown_bounds   total vs component quantiles (dominance, union
 //                      bound, monotone in epsilon)
 //   load_monotone      the RTT quantile does not fall as the load grows
+//   dimension_bracket  dimension_for_rtt at the point's own RTT quantile
+//                      brackets the point's load and grows with the bound
 //
 // Determinism contract: run_check() evaluates points with
 // par::parallel_map and aggregates in index order, every point derives
@@ -48,6 +50,7 @@ enum class PathPair {
   kSolverHealth,
   kBreakdownBounds,
   kLoadMonotone,
+  kDimensionBracket,
 };
 
 /// Stable wire/report name ("kernel_vs_mgf", ...).

@@ -1,21 +1,22 @@
 #include "serve/server.h"
 
 #include <arpa/inet.h>
-#include <csignal>
-#include <cstdio>
-#include <cstring>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <cstdio>
+#include <cstring>
 #include <utility>
-#include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace fpsq::serve {
 
@@ -26,13 +27,12 @@ FdSink::~FdSink() {
 }
 
 void FdSink::write_line(const std::string& line) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (dead_.load(std::memory_order_relaxed)) return;
+  if (dead_) return;
   // Writing to a pipe/socket whose reader is gone raises SIGPIPE, whose
-  // default action kills the whole process — accept loop, batch thread
-  // and every other connection included. Block it for this thread
-  // around the write so the failure surfaces as EPIPE instead, and
-  // consume the pending signal before restoring the mask.
+  // default action kills the whole process — every other connection
+  // included. Block it for this thread around the write so the failure
+  // surfaces as EPIPE instead, and consume the pending signal before
+  // restoring the mask.
   sigset_t pipe_set;
   sigset_t old_set;
   ::sigemptyset(&pipe_set);
@@ -67,7 +67,7 @@ void FdSink::write_line(const std::string& line) {
   }
   if (failed) {
     FPSQ_OBS_COUNT("serve.write_errors");
-    dead_.store(true, std::memory_order_relaxed);
+    dead_ = true;
   }
 }
 
@@ -80,13 +80,6 @@ Server::Server(ServerOptions options) : options_(options), engine_(options.engin
 
 Server::~Server() { drain(); }
 
-void Server::start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (started_) return;
-  started_ = true;
-  batcher_ = std::thread([this] { batch_loop(); });
-}
-
 void Server::submit_line(const std::string& line,
                          std::shared_ptr<Sink> sink) {
   if (line.find_first_not_of(" \t\r\n") == std::string::npos) return;
@@ -96,20 +89,15 @@ void Server::submit_line(const std::string& line,
   if (parsed.ok && parsed.request.deadline_ms <= 0.0) {
     parsed.request.deadline_ms = options_.default_deadline_ms;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!closed_ && queue_.size() < options_.max_queue) {
-      queue_.push_back(Item{std::move(parsed), std::move(sink)});
-      FPSQ_OBS_GAUGE_SET("serve.queue_depth",
-                         static_cast<double>(queue_.size()));
-      FPSQ_OBS_GAUGE_MAX("serve.queue_depth_peak",
-                         static_cast<double>(queue_.size()));
-      work_cv_.notify_one();
-      return;
-    }
+  if (!closed_ && queue_.size() < options_.max_queue) {
+    queue_.push_back(Item{std::move(parsed), std::move(sink)});
+    FPSQ_OBS_GAUGE_SET("serve.queue_depth",
+                       static_cast<double>(queue_.size()));
+    FPSQ_OBS_GAUGE_MAX("serve.queue_depth_peak",
+                       static_cast<double>(queue_.size()));
+    return;
   }
-  // Queue full (or input already closed): shed instead of blocking the
-  // reader. The response is written here, from the reader thread.
+  // Queue full (or input already closed): shed, answered right away.
   FPSQ_OBS_COUNT("serve.shed");
   FPSQ_OBS_COUNT("serve.responses");
   sink->write_line(error_response(
@@ -117,59 +105,30 @@ void Server::submit_line(const std::string& line,
       "server overloaded: request queue is full or draining"));
 }
 
-void Server::close_input() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
+void Server::execute_admitted() {
+  std::vector<Item> admitted;
+  admitted.swap(queue_);
+  std::vector<ParsedRequest> batch;
+  for (std::size_t begin = 0; begin < admitted.size();
+       begin += options_.max_batch) {
+    const std::size_t end =
+        std::min(admitted.size(), begin + options_.max_batch);
+    FPSQ_OBS_GAUGE_SET("serve.queue_depth",
+                       static_cast<double>(admitted.size() - end));
+    batch.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      batch.push_back(std::move(admitted[i].parsed));
+    }
+    const auto responses = engine_.execute(batch);
+    for (std::size_t i = begin; i < end; ++i) {
+      admitted[i].sink->write_line(responses[i - begin]);
+    }
   }
-  work_cv_.notify_all();
 }
 
 void Server::drain() {
-  close_input();
-  std::thread joinable;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (batcher_.joinable()) joinable = std::move(batcher_);
-  }
-  if (joinable.joinable()) joinable.join();
-}
-
-void Server::batch_loop() {
-  FPSQ_SPAN("serve.server.batch_loop");
-  const auto tick =
-      std::chrono::duration<double, std::milli>(options_.tick_ms);
-  for (;;) {
-    std::vector<Item> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return !queue_.empty() || closed_; });
-      if (queue_.empty()) return;  // closed + drained
-      if (queue_.size() < options_.max_batch && !closed_) {
-        // Micro-batch gather window: give same-tick requests a chance
-        // to land in this batch (and be deduplicated / share cache).
-        work_cv_.wait_for(lock, tick, [&] {
-          return queue_.size() >= options_.max_batch || closed_;
-        });
-      }
-      const std::size_t take =
-          std::min(queue_.size(), options_.max_batch);
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      FPSQ_OBS_GAUGE_SET("serve.queue_depth",
-                         static_cast<double>(queue_.size()));
-    }
-    std::vector<ParsedRequest> requests;
-    requests.reserve(batch.size());
-    for (const Item& item : batch) requests.push_back(item.parsed);
-    const auto responses = engine_.execute(requests);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      batch[i].sink->write_line(responses[i]);
-    }
-  }
+  closed_ = true;
+  execute_admitted();
 }
 
 // ---- CLI front ends -------------------------------------------------------
@@ -177,8 +136,8 @@ void Server::batch_loop() {
 namespace {
 
 // Self-pipe drain signalling: the SIGTERM/SIGINT handler writes one byte
-// to a pipe every reader poll()s alongside its input fd, so a blocked
-// reader wakes no matter which thread the signal was delivered to.
+// to a pipe the loop poll()s alongside its inputs, so a loop blocked in
+// poll() wakes whichever thread the signal was delivered to.
 std::atomic<int> g_stop_pipe_wr{-1};
 
 void drain_signal_handler(int) {
@@ -208,8 +167,8 @@ class DrainSignals {
     ::sigaction(SIGINT, &sa, &old_int_);
     // A client disconnecting mid-response must surface as EPIPE on the
     // write (handled per-sink), never as a process-killing SIGPIPE.
-    // FdSink::write_line also masks it per-thread; ignoring it for the
-    // front end's lifetime covers every other incidental write.
+    // FdSink::write_line also masks it around its write; ignoring it for
+    // the front end's lifetime covers every other incidental write.
     struct sigaction ign;
     std::memset(&ign, 0, sizeof ign);
     ign.sa_handler = SIG_IGN;
@@ -232,12 +191,6 @@ class DrainSignals {
   /// Read end of the self-pipe; readable once a drain was requested.
   [[nodiscard]] int stop_fd() const noexcept { return pipe_fds_[0]; }
 
-  [[nodiscard]] bool stop_requested() const {
-    if (pipe_fds_[0] < 0) return false;
-    struct pollfd p{pipe_fds_[0], POLLIN, 0};
-    return ::poll(&p, 1, 0) > 0;
-  }
-
  private:
   int pipe_fds_[2] = {-1, -1};
   struct sigaction old_term_{};
@@ -246,81 +199,94 @@ class DrainSignals {
   bool installed_ = false;
 };
 
-/// Buffered NDJSON line reader over an fd, waking on the stop pipe.
-/// next_line() returns false on EOF, error, or drain request (a partial
-/// unterminated final line is still delivered before EOF).
-class LineReader {
- public:
-  LineReader(int fd, int stop_fd) : fd_(fd), stop_fd_(stop_fd) {}
+/// One request stream (stdin or a connection): its fd, the sink its
+/// responses go to, and the bytes after the last newline read so far.
+struct Input {
+  int fd;
+  std::shared_ptr<FdSink> sink;
+  std::string pending;
+  bool open = true;
+};
 
-  bool next_line(std::string& line) {
-    for (;;) {
-      const std::size_t nl = buf_.find('\n', scan_);
-      if (nl != std::string::npos) {
-        line.assign(buf_, 0, nl);
-        buf_.erase(0, nl + 1);
-        scan_ = 0;
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        return true;
-      }
-      scan_ = buf_.size();
-      if (eof_) {
-        if (buf_.empty()) return false;
-        line = std::move(buf_);
-        buf_.clear();
-        scan_ = 0;
-        return true;
-      }
-      if (!fill()) eof_ = true;
-    }
+/// Submits an unterminated last line, once the stream has ended.
+void submit_rest(Input& in, Server& server) {
+  if (!in.pending.empty()) server.submit_line(in.pending, in.sink);
+  in.pending.clear();
+}
+
+/// One read() of a stream poll() reported ready; submits every complete
+/// line (a trailing '\r' stripped). At EOF or on a read error, submits
+/// the unterminated rest and marks the stream closed.
+void read_lines(Input& in, Server& server) {
+  char chunk[65536];
+  const ssize_t n = ::read(in.fd, chunk, sizeof chunk);
+  if (n < 0 && errno == EINTR) return;
+  if (n <= 0) {
+    submit_rest(in, server);
+    in.open = false;
+    return;
   }
+  const std::size_t scanned = in.pending.size();  // holds no newline
+  in.pending.append(chunk, static_cast<std::size_t>(n));
+  std::size_t begin = 0;
+  for (std::size_t nl = in.pending.find('\n', scanned);
+       nl != std::string::npos; nl = in.pending.find('\n', begin)) {
+    const std::size_t end =
+        nl > begin && in.pending[nl - 1] == '\r' ? nl - 1 : nl;
+    server.submit_line(in.pending.substr(begin, end - begin), in.sink);
+    begin = nl + 1;
+  }
+  in.pending.erase(0, begin);
+}
 
- private:
-  bool fill() {
-    struct pollfd fds[2];
-    fds[0] = {fd_, POLLIN, 0};
-    fds[1] = {stop_fd_, POLLIN, 0};
-    const int nfds = stop_fd_ >= 0 ? 2 : 1;
-    for (;;) {
-      const int pr = ::poll(fds, nfds, -1);
-      if (pr < 0) {
-        if (errno == EINTR) continue;  // stop pipe decides, not EINTR
-        return false;
-      }
-      if (fds[1].revents != 0) return false;  // drain requested
-      if (fds[0].revents == 0) continue;
+/// The loop both front ends share (structure in server.h). Each pass
+/// polls the stop pipe, the listen socket (listen_fd >= 0 only; poll
+/// skips a negative fd) and every open input, reads what is ready,
+/// executes everything admitted and only then polls again. Without a
+/// listen socket it ends once every input reached EOF. A drain request
+/// ends it at once; either way everything admitted is answered before
+/// it returns.
+void serve_loop(Server& server, int stop_fd, int listen_fd,
+                std::vector<Input> inputs) {
+  std::vector<struct pollfd> fds;
+  for (;;) {
+    fds.clear();
+    fds.push_back({stop_fd, POLLIN, 0});
+    fds.push_back({listen_fd, POLLIN, 0});
+    for (const Input& in : inputs) fds.push_back({in.fd, POLLIN, 0});
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (errno == EINTR) continue;  // the stop pipe decides, not EINTR
       break;
     }
-    char chunk[65536];
-    for (;;) {
-      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      buf_.append(chunk, static_cast<std::size_t>(n));
-      return true;
+    if (fds[0].revents != 0) break;  // drain requested
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      if (fds[i + 2].revents != 0) read_lines(inputs[i], server);
     }
+    std::erase_if(inputs, [](const Input& in) { return !in.open; });
+    if (fds[1].revents != 0) {
+      // Non-blocking listen socket: accept until the backlog is empty.
+      for (int conn; (conn = ::accept(listen_fd, nullptr, nullptr)) >= 0;) {
+        FPSQ_OBS_COUNT("serve.connections");
+        inputs.push_back(
+            Input{conn, std::make_shared<FdSink>(conn, true), {}});
+      }
+    }
+    server.execute_admitted();
+    if (listen_fd < 0 && inputs.empty()) break;  // every input at EOF
   }
-
-  int fd_;
-  int stop_fd_;
-  std::string buf_;
-  std::size_t scan_ = 0;
-  bool eof_ = false;
-};
+  for (Input& in : inputs) submit_rest(in, server);
+  server.drain();  // EOF or signal: answer everything admitted
+}
 
 }  // namespace
 
 int run_stdio(const ServerOptions& options) {
   DrainSignals signals;
   Server server(options);
-  server.start();
-  auto sink = std::make_shared<FdSink>(STDOUT_FILENO);
-  LineReader reader(STDIN_FILENO, signals.stop_fd());
-  std::string line;
-  while (reader.next_line(line)) {
-    server.submit_line(line, sink);
-  }
-  server.drain();  // EOF or signal: answer everything admitted, exit 0
+  std::vector<Input> inputs;
+  inputs.push_back(
+      Input{STDIN_FILENO, std::make_shared<FdSink>(STDOUT_FILENO), {}});
+  serve_loop(server, signals.stop_fd(), -1, std::move(inputs));
   return 0;
 }
 
@@ -340,7 +306,8 @@ int run_listen(int port, const ServerOptions& options) {
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   if (::bind(listen_fd, reinterpret_cast<struct sockaddr*>(&addr),
              sizeof addr) != 0 ||
-      ::listen(listen_fd, 64) != 0) {
+      ::listen(listen_fd, 64) != 0 ||
+      ::fcntl(listen_fd, F_SETFL, O_NONBLOCK) != 0) {
     std::perror("fpsq serve: bind/listen");
     ::close(listen_fd);
     return 1;
@@ -349,40 +316,8 @@ int run_listen(int port, const ServerOptions& options) {
   std::fflush(stdout);
 
   Server server(options);
-  server.start();
-  std::vector<std::thread> readers;
-  for (;;) {
-    struct pollfd fds[2];
-    fds[0] = {listen_fd, POLLIN, 0};
-    fds[1] = {signals.stop_fd(), POLLIN, 0};
-    const int pr = ::poll(fds, signals.stop_fd() >= 0 ? 2 : 1, -1);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) break;  // drain requested
-    if (fds[0].revents == 0) continue;
-    const int conn = ::accept(listen_fd, nullptr, nullptr);
-    if (conn < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    FPSQ_OBS_COUNT("serve.connections");
-    readers.emplace_back([conn, &server, &signals] {
-      // The sink owns the connection fd: it closes once the reader AND
-      // the last queued response for this connection are done with it.
-      auto sink = std::make_shared<FdSink>(conn, /*close_on_destroy=*/true);
-      LineReader reader(conn, signals.stop_fd());
-      std::string line;
-      while (reader.next_line(line)) {
-        server.submit_line(line, sink);
-      }
-      ::shutdown(conn, SHUT_RD);
-    });
-  }
+  serve_loop(server, signals.stop_fd(), listen_fd, {});
   ::close(listen_fd);
-  for (std::thread& t : readers) t.join();
-  server.drain();
   return 0;
 }
 

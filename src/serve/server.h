@@ -1,51 +1,51 @@
 // fpsq::serve — the long-running front end behind `fpsq serve`:
-// admission control + micro-batching around serve::Engine.
+// admission control + batching around serve::Engine, run by one poll
+// loop on one thread.
 //
 // Structure (see docs/SERVING.md):
 //
-//   reader thread(s)                 batch thread
-//   ----------------                 ------------------------------
-//   read NDJSON line                 wait for work (or drain)
-//   parse_request()                  gather <= max_batch items, up to
-//   queue full? -> shed response       tick_ms after the first arrival
-//   else enqueue {request, sink}     Engine::execute(batch)
-//                                    write responses to each item's sink
+//   poll(stop pipe, listen socket, stdin or every open connection)
+//   read whatever is ready; for each complete line, submit_line():
+//     parse_request(), stamp
+//     queue full? -> shed response, written now
+//     else admit {request, sink}
+//   execute_admitted(): Engine::execute() in chunks of max_batch,
+//     each response written to its item's sink
+//   poll again
+//
+// There is no gather window: a batch is the backlog that built up while
+// the previous one ran. The par pool still evaluates a batch's distinct
+// work keys in parallel, so the process runs the loop plus the pool's
+// workers and no other thread, however many connections it serves.
 //
 // Admission control: the request queue is bounded (ServerOptions::
-// max_queue). A request arriving at a full queue is answered immediately
+// max_queue). A line read while the queue is full is answered at once
 // with a `shed` error — the server degrades by shedding load, it never
-// blocks the reader or grows without bound. Each admitted request is
-// stamped and may carry a deadline (its own, or ServerOptions::
-// default_deadline_ms); expired requests are answered with
-// `deadline_exceeded` instead of being executed.
+// grows without bound. Each admitted request is stamped and may carry a
+// deadline (its own, or ServerOptions::default_deadline_ms); expired
+// requests are answered with `deadline_exceeded` instead of being
+// executed.
 //
-// Drain: close_input() (EOF or SIGTERM/SIGINT in the CLI front ends)
-// stops admission; the batch thread keeps executing until the queue is
-// empty, every admitted request gets its response, and drain() joins.
-// The CLI front ends exit 0 after a signal-initiated drain.
+// Drain: EOF on stdin, or SIGTERM/SIGINT in either front end, stops
+// reading; drain() closes admission, executes and answers everything
+// admitted, and the front end exits 0.
 //
-// Ordering: responses on one sink are written in admission order by the
-// single batch thread. Shed responses are written by the reader at
-// admission time and may therefore interleave with earlier queued
-// requests' responses.
+// Ordering: responses on one sink are written in admission order. Shed
+// responses are written when their line is read and may therefore
+// precede the responses of earlier admitted requests.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <deque>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "serve/engine.h"
 #include "serve/request.h"
 
 namespace fpsq::serve {
 
-/// One response channel. write_line() appends the newline and must be
-/// safe to call from the reader (sheds) and batch threads concurrently.
+/// One response channel. write_line() appends the newline.
 class Sink {
  public:
   virtual ~Sink() = default;
@@ -54,16 +54,16 @@ class Sink {
 
 /// Sink over a file descriptor. With close_on_destroy, the fd is closed
 /// when the last shared_ptr owner lets go — which in the socket front
-/// end is after the connection reader exited AND its last queued
-/// response was written, giving connection-lifetime management for free.
+/// end is after the loop dropped the connection AND its last admitted
+/// response was written.
 ///
 /// A peer that disconnects mid-response (EPIPE/ECONNRESET on a TCP
-/// connection, a closed stdout pipe) must not take the process or the
-/// batch thread with it: write_line() blocks SIGPIPE around the write,
-/// retries short writes, and on a hard error counts serve.write_errors
-/// and marks the sink dead so the remaining responses for this
-/// connection are dropped without touching the fd again. Responses for
-/// other connections in the same batch are unaffected.
+/// connection, a closed stdout pipe) must not take the process with it:
+/// write_line() blocks SIGPIPE around the write, retries short writes,
+/// and on a hard error counts serve.write_errors and marks the sink dead
+/// so the remaining responses for this connection are dropped without
+/// touching the fd again. Responses for other connections in the same
+/// batch are unaffected.
 class FdSink : public Sink {
  public:
   explicit FdSink(int fd, bool close_on_destroy = false)
@@ -72,49 +72,43 @@ class FdSink : public Sink {
   void write_line(const std::string& line) override;
 
   /// True once a write failed (receiver gone); later writes are no-ops.
-  [[nodiscard]] bool dead() const noexcept {
-    return dead_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool dead() const noexcept { return dead_; }
 
  private:
-  std::mutex mu_;
   int fd_;
   bool close_;
-  std::atomic<bool> dead_{false};
+  bool dead_ = false;
 };
 
 struct ServerOptions {
   EngineOptions engine;
   std::size_t max_queue = 1024;  ///< admission bound (>= 1)
-  std::size_t max_batch = 64;    ///< micro-batch size cap (>= 1)
-  /// Gather window: after the first request of a batch arrives, wait up
-  /// to this long for the batch to fill before executing.
-  double tick_ms = 2.0;
+  std::size_t max_batch = 64;    ///< Engine::execute chunk cap (>= 1)
   /// Deadline applied to requests that do not carry their own; 0 = none.
   double default_deadline_ms = 0.0;
 };
 
+/// Admission queue + engine. Not thread-safe: the poll loop (or a test)
+/// calls it from one thread.
 class Server {
  public:
   explicit Server(ServerOptions options = {});
-  ~Server();
+  ~Server();  ///< drain()s
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Starts the batch thread. Call once, before the first submit.
-  void start();
-
-  /// Parses + admits one request line (empty lines are ignored). Called
-  /// from reader threads; answers shed/parse failures through `sink`.
+  /// Parses + admits one request line (empty lines are ignored); answers
+  /// shed and parse failures through `sink` at once.
   void submit_line(const std::string& line, std::shared_ptr<Sink> sink);
 
-  /// Stops admission: later submits are shed, and the batch thread exits
-  /// once the queue is empty. Idempotent, callable from any thread.
-  void close_input();
+  /// Executes everything admitted so far through Engine::execute, in
+  /// chunks of max_batch, and writes each response to its sink.
+  void execute_admitted();
 
-  /// close_input() + join the batch thread once everything admitted has
-  /// been answered.
+  /// Stops admission (later submits are shed) and executes everything
+  /// admitted: every admitted request is answered when this returns.
+  /// Idempotent.
   void drain();
 
   [[nodiscard]] const ServerOptions& options() const noexcept {
@@ -127,16 +121,10 @@ class Server {
     std::shared_ptr<Sink> sink;
   };
 
-  void batch_loop();
-
   ServerOptions options_;
   Engine engine_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::deque<Item> queue_;
+  std::vector<Item> queue_;
   bool closed_ = false;
-  bool started_ = false;
-  std::thread batcher_;
 };
 
 /// `fpsq serve --stdin`: requests from stdin, responses to stdout,
@@ -144,9 +132,9 @@ class Server {
 /// code (0 on a clean or signal-initiated drain).
 int run_stdio(const ServerOptions& options);
 
-/// `fpsq serve --listen PORT`: accepts connections on 127.0.0.1:PORT,
-/// one reader thread per connection feeding the shared engine, responses
-/// back on the connection in admission order. Drains on SIGTERM/SIGINT.
+/// `fpsq serve --listen PORT`: accepts connections on 127.0.0.1:PORT and
+/// serves them all from the one loop, each connection's responses back
+/// on it in admission order. Drains on SIGTERM/SIGINT.
 int run_listen(int port, const ServerOptions& options);
 
 }  // namespace fpsq::serve

@@ -1,5 +1,7 @@
 // serve::Server: admission control (bounded queue, shed responses),
-// micro-batching, admission-order responses, and drain semantics.
+// batching, admission-order responses, and drain semantics. The server
+// runs no thread of its own: nothing executes until execute_admitted()
+// or drain(), so every test controls exactly what forms a batch.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -9,7 +11,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,21 +26,16 @@ using serve::Server;
 using serve::ServerOptions;
 using serve::Sink;
 
-/// Thread-safe in-memory sink standing in for a connection.
+/// In-memory sink standing in for a connection.
 class CollectSink : public Sink {
  public:
   void write_line(const std::string& line) override {
-    std::lock_guard<std::mutex> lock(mu_);
     lines_.push_back(line);
   }
 
-  std::vector<std::string> lines() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return lines_;
-  }
+  std::vector<std::string> lines() const { return lines_; }
 
  private:
-  mutable std::mutex mu_;
   std::vector<std::string> lines_;
 };
 
@@ -57,17 +53,16 @@ std::string id_of(const std::string& response) {
 TEST(ServeServer, AnswersEveryAdmittedRequestInOrder) {
   ServerOptions opts;
   opts.max_batch = 4;
-  opts.tick_ms = 1.0;
   Server server{opts};
   auto sink = std::make_shared<CollectSink>();
 
-  // Enqueue before start(): everything lands in one deterministic queue.
+  // Nothing runs before drain(): everything lands in one deterministic
+  // queue, executed as two chunks (4 + 2).
   for (int i = 0; i < 6; ++i) {
     server.submit_line(
         R"({"id":"r)" + std::to_string(i) + R"(","op":"rtt","gamers":60})",
         sink);
   }
-  server.start();
   server.drain();
 
   const auto lines = sink->lines();
@@ -88,7 +83,7 @@ TEST(ServeServer, SnapshotCarriesEveryMetricPerfbenchReads) {
   opts.max_queue = 4;
   Server server{opts};
   auto sink = std::make_shared<CollectSink>();
-  // Queued before start(), so they run as one batch: a duplicate
+  // Queued before drain(), so they run as one batch: a duplicate
   // (dedup), jittered ticks (giek1), an already expired deadline
   // (timeout), and a fifth line past the admission bound (shed).
   server.submit_line(R"({"id":"a","op":"rtt","gamers":60})", sink);
@@ -100,7 +95,6 @@ TEST(ServeServer, SnapshotCarriesEveryMetricPerfbenchReads) {
       R"({"id":"d","op":"rtt","gamers":70,"deadline_ms":1e-6})", sink);
   server.submit_line(R"({"id":"e","op":"rtt"})", sink);
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  server.start();
   server.drain();
   ASSERT_EQ(sink->lines().size(), 5u);
 
@@ -131,8 +125,8 @@ TEST(ServeServer, FullQueueShedsDeterministically) {
   Server server{opts};
   auto sink = std::make_shared<CollectSink>();
 
-  // Not started yet, so the queue cannot move: the third submit must
-  // bounce off the admission bound.
+  // Nothing executes between submits, so the queue cannot move: the
+  // third submit must bounce off the admission bound.
   server.submit_line(R"({"id":"a","op":"rtt"})", sink);
   server.submit_line(R"({"id":"b","op":"rtt"})", sink);
   server.submit_line(R"({"id":"c","op":"rtt"})", sink);
@@ -143,7 +137,6 @@ TEST(ServeServer, FullQueueShedsDeterministically) {
   EXPECT_EQ(id_of(lines[0]), "c");
   EXPECT_EQ(error_code_of(lines[0]), "shed");
 
-  server.start();
   server.drain();
   lines = sink->lines();
   ASSERT_EQ(lines.size(), 3u);  // shed + the two admitted
@@ -151,11 +144,30 @@ TEST(ServeServer, FullQueueShedsDeterministically) {
   EXPECT_EQ(error_code_of(lines[2]), "");
 }
 
+TEST(ServeServer, ExecuteAdmittedAnswersTheBacklogAndKeepsAdmitting) {
+  // One pass of the poll loop: execute_admitted() answers the backlog,
+  // which frees the admission bound for the next pass's lines.
+  ServerOptions opts;
+  opts.max_queue = 1;
+  Server server{opts};
+  auto sink = std::make_shared<CollectSink>();
+  server.submit_line(R"({"id":"a","op":"rtt"})", sink);
+  server.execute_admitted();
+  ASSERT_EQ(sink->lines().size(), 1u);
+  server.submit_line(R"({"id":"b","op":"rtt"})", sink);
+  server.execute_admitted();
+
+  const auto lines = sink->lines();
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(id_of(lines[0]), "a");
+  EXPECT_EQ(id_of(lines[1]), "b");
+  EXPECT_EQ(error_code_of(lines[1]), "");
+}
+
 TEST(ServeServer, SubmitAfterCloseIsShed) {
   Server server;
   auto sink = std::make_shared<CollectSink>();
-  server.start();
-  server.close_input();
+  server.drain();  // closes admission
   server.submit_line(R"({"id":"late","op":"rtt"})", sink);
   server.drain();
 
@@ -171,7 +183,6 @@ TEST(ServeServer, EmptyLinesAreIgnored) {
   server.submit_line("", sink);
   server.submit_line("   ", sink);
   server.submit_line("\t", sink);
-  server.start();
   server.drain();
   EXPECT_TRUE(sink->lines().empty());
 }
@@ -180,7 +191,6 @@ TEST(ServeServer, MalformedLineGetsBadRequestResponse) {
   Server server;
   auto sink = std::make_shared<CollectSink>();
   server.submit_line("{broken", sink);
-  server.start();
   server.drain();
 
   const auto lines = sink->lines();
@@ -194,7 +204,6 @@ TEST(ServeServer, DefaultDeadlineAppliesToBareRequests) {
   Server server{opts};
   auto sink = std::make_shared<CollectSink>();
   server.submit_line(R"({"id":"d","op":"rtt"})", sink);
-  server.start();
   server.drain();
 
   const auto lines = sink->lines();
@@ -205,7 +214,6 @@ TEST(ServeServer, DefaultDeadlineAppliesToBareRequests) {
 TEST(ServeServer, DrainIsIdempotent) {
   Server server;
   auto sink = std::make_shared<CollectSink>();
-  server.start();
   server.submit_line(R"({"id":"x","op":"rtt"})", sink);
   server.drain();
   server.drain();  // second drain must be a no-op, not a crash
@@ -216,7 +224,6 @@ TEST(ServeServer, DestructorDrains) {
   auto sink = std::make_shared<CollectSink>();
   {
     Server server;
-    server.start();
     server.submit_line(R"({"id":"dtor","op":"rtt"})", sink);
   }  // ~Server drains: the admitted request must still be answered
   const auto lines = sink->lines();
@@ -292,15 +299,14 @@ TEST(ServeServer, PartialWritesDeliverWholeLine) {
 }
 
 TEST(ServeServer, DeadConnectionDoesNotStarveOthers) {
-  // Two connections in one batch loop; one hangs up. The other must
-  // still receive its response and the loop must not terminate.
+  // Two connections in one batch; one hangs up. The other must still
+  // receive its response and the server must keep going.
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   ::close(fds[0]);
   auto dead_sink = std::make_shared<serve::FdSink>(fds[1], true);
   auto live_sink = std::make_shared<CollectSink>();
   Server server;
-  server.start();
   server.submit_line(R"({"id":"d","op":"rtt"})", dead_sink);
   server.submit_line(R"({"id":"l","op":"rtt"})", live_sink);
   server.drain();

@@ -394,8 +394,13 @@ int cmd_serve(const Args& args) {
   const long long batch = args.integer("batch", 64);
   args.require(batch >= 1, "batch", "an integer >= 1");
   opt.max_batch = static_cast<std::size_t>(batch);
-  opt.tick_ms = args.number("tick-ms", 2.0);
-  args.require(opt.tick_ms >= 0.0, "tick-ms", ">= 0 [ms]");
+  if (args.has("tick-ms")) {
+    // Accepted for old command lines; the loop batches the backlog.
+    args.require(args.number("tick-ms", 0.0) >= 0.0, "tick-ms", ">= 0 [ms]");
+    std::fprintf(stderr,
+                 "fpsq serve: --tick-ms has no effect (there is no gather "
+                 "window; a batch is the backlog)\n");
+  }
   opt.default_deadline_ms = args.number("deadline-ms", 0.0);
   args.require(opt.default_deadline_ms >= 0.0, "deadline-ms", ">= 0 [ms]");
   const long long precision = args.integer("precision", 17);
@@ -827,19 +832,22 @@ const char* usage_text(const std::string& topic) {
   }
   if (topic == "serve") {
     return "fpsq serve [--stdin 1 | --listen PORT] [--queue 1024]\n"
-           "           [--batch 64] [--tick-ms 2] [--deadline-ms 0]\n"
-           "           [--precision 17]\n"
+           "           [--batch 64] [--deadline-ms 0] [--precision 17]\n"
            "  long-running NDJSON request engine: one JSON request per\n"
            "  line (ops rtt | dimension | sweep), one JSON response per\n"
            "  line, in admission order — see docs/SERVING.md for the\n"
-           "  schema. Requests landing in the same micro-batch that share\n"
-           "  a solver configuration are deduplicated; every answer is\n"
-           "  bit-identical to a one-shot run, whatever the cache holds.\n"
+           "  schema. One poll loop reads every input; what arrived while\n"
+           "  a batch ran forms the next batch (up to --batch requests).\n"
+           "  Requests in one batch that share a solver configuration are\n"
+           "  deduplicated; every answer is bit-identical to a one-shot\n"
+           "  run, whatever the cache holds.\n"
            "  --queue bounds admission (overflow is answered with a\n"
            "  structured `shed` error), --deadline-ms expires stale\n"
            "  requests, SIGTERM/SIGINT drain gracefully (every admitted\n"
            "  request is answered, then exit 0).\n"
-           "  --listen accepts loopback TCP connections instead of stdin.\n";
+           "  --listen accepts loopback TCP connections instead of stdin.\n"
+           "  --tick-ms is accepted and has no effect (there is no gather\n"
+           "  window).\n";
   }
   if (topic == "check") {
     return "fpsq check [--points 200] [--seed 1] [--serve-points 8]\n"
