@@ -9,9 +9,10 @@
 // the obs counters queueing.convolution.tail_evals /
 // queueing.kernel.tail_evals.
 //
-// Phase B times the full Table-4 dimensioning grid serially from a cold
-// cache and reports how many convolved kernels it compiled and how many
-// of those carry series terms.
+// Phase B times the full Table-4 dimensioning grid (one
+// dimension_for_rtt call per cell) serially from a cold cache and
+// reports how many convolved kernels it compiled and how many of those
+// carry series terms.
 //
 // Headline metrics:
 //   tail_eval_ratio          oracle evals / kernel evals per quantile
@@ -27,7 +28,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/sweep.h"
+#include "core/dimensioning.h"
 #include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "queueing/convolution.h"
@@ -149,15 +150,20 @@ int main() {
                 counter_value("queueing.kernel.density_evals")));
 
   // ---- Phase B: Table-4 dimensioning grid wall clock --------------------
-  core::DimensioningTableSpec spec;
-  spec.ks = {2, 5, 9, 14, 20};
-  spec.rtt_bounds_ms = {40.0, 50.0, 60.0, 80.0, 100.0};
   par::set_global_thread_count(1);  // isolate the per-probe math
   queueing::SolverCache::global().clear();
+  std::size_t cells = 0;
   const auto t0 = Clock::now();
-  const auto cells = core::dimension_table(spec);
+  for (const int k : {2, 5, 9, 14, 20}) {
+    core::AccessScenario scenario;
+    scenario.erlang_k = k;
+    for (const double bound : {40.0, 50.0, 60.0, 80.0, 100.0}) {
+      (void)core::dimension_for_rtt(scenario, bound, 1e-5);
+      ++cells;
+    }
+  }
   const double table4_kernel_s = seconds_since(t0);
-  std::printf("\nTable-4 grid (%zu cells, serial): %8.3f s\n", cells.size(),
+  std::printf("\nTable-4 grid (%zu cells, serial): %8.3f s\n", cells,
               table4_kernel_s);
   jr.metric("table4_kernel_s", table4_kernel_s);
   jr.metric("kernel_closed_form_hits",

@@ -1,20 +1,25 @@
-// Performance bench for the parallel sweep engine + solver cache: the
-// Table-4 dimensioning grid, a Figure-3 load sweep and a replication
-// batch, each timed serial-vs-parallel (and, for the analytic grids,
-// cold-vs-warm cache), with a bit-identity check between the results.
+// Performance bench for the parallel batch path + solver cache: the
+// Table-4 dimensioning grid and a Figure-3 load sweep, each one
+// serve::Engine::execute batch (one request per cell or load), and a
+// replication batch, each timed serial-vs-parallel (and, for the
+// analytic grids, cold-vs-warm cache), with a bit-identity check
+// between the results.
 //
 // Headline metrics:
 //   *_speedup         serial wall time over parallel (cold-cache) time
 //   *_bit_identical   1.0 when serial == parallel cold == parallel warm
-//                     bitwise
+//                     bitwise (analytic grids: every response byte)
+// Exits 1 after the BENCHJSON line when any *_bit_identical is 0.
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "core/sweep.h"
+#include "core/scenario.h"
 #include "par/thread_pool.h"
 #include "queueing/solver_cache.h"
+#include "serve/engine.h"
 #include "sim/replication.h"
 
 namespace {
@@ -25,11 +30,44 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-fpsq::core::DimensioningTableSpec table4_spec() {
-  fpsq::core::DimensioningTableSpec spec;
-  spec.ks = {2, 5, 9, 14, 20};
-  spec.rtt_bounds_ms = {40.0, 50.0, 60.0, 80.0, 100.0};
-  return spec;
+using fpsq::serve::ParsedRequest;
+
+/// One dimension request per Table-4 cell (K x RTT bound).
+std::vector<ParsedRequest> table4_batch() {
+  std::vector<ParsedRequest> batch;
+  for (const int k : {2, 5, 9, 14, 20}) {
+    for (const double bound : {40.0, 50.0, 60.0, 80.0, 100.0}) {
+      ParsedRequest p;
+      p.ok = true;
+      p.request.op = fpsq::serve::Op::kDimension;
+      p.request.scenario.erlang_k = k;
+      p.request.bound_ms = bound;
+      batch.push_back(p);
+    }
+  }
+  return batch;
+}
+
+/// One rtt request per load 0.02, 0.03, ... 0.92 (Figure 3's x axis).
+std::vector<ParsedRequest> figure3_batch() {
+  std::vector<ParsedRequest> batch;
+  const fpsq::core::AccessScenario scenario;
+  for (double rho = 0.02; rho < 0.93; rho += 0.01) {
+    ParsedRequest p;
+    p.ok = true;
+    p.request.op = fpsq::serve::Op::kRtt;
+    p.request.gamers = scenario.clients_for_downlink_load(rho);
+    batch.push_back(p);
+  }
+  return batch;
+}
+
+/// Admits every request now and runs the batch through the engine.
+std::vector<std::string> execute(std::vector<ParsedRequest> batch) {
+  for (ParsedRequest& p : batch) {
+    p.request.admitted_at = std::chrono::steady_clock::now();
+  }
+  return fpsq::serve::Engine{}.execute(batch);
 }
 
 }  // namespace
@@ -44,33 +82,24 @@ int main() {
   jr.metric("threads", hw);
 
   // ---- Table-4 dimensioning grid ---------------------------------------
-  const auto spec = table4_spec();
+  const auto table4 = table4_batch();
   par::set_global_thread_count(1);
   cache.clear();
   auto t0 = Clock::now();
-  const auto serial = core::dimension_table(spec);
+  const auto serial = execute(table4);
   const double table4_serial_s = seconds_since(t0);
 
   // Parallel with a cold cache, then a warm rerun.
   par::set_global_thread_count(hw);
   cache.clear();
   t0 = Clock::now();
-  const auto parallel_cold = core::dimension_table(spec);
+  const auto parallel_cold = execute(table4);
   const double table4_parallel_cold_s = seconds_since(t0);
   t0 = Clock::now();
-  const auto parallel_warm = core::dimension_table(spec);
+  const auto parallel_warm = execute(table4);
   const double table4_parallel_warm_s = seconds_since(t0);
 
-  bool identical = serial.size() == parallel_cold.size() &&
-                   serial.size() == parallel_warm.size();
-  for (std::size_t i = 0; identical && i < serial.size(); ++i) {
-    for (const auto* other : {&parallel_cold[i], &parallel_warm[i]}) {
-      identical = identical &&
-                  serial[i].result.rho_max == other->result.rho_max &&
-                  serial[i].result.rtt_at_max_ms ==
-                      other->result.rtt_at_max_ms;
-    }
-  }
+  const bool identical = serial == parallel_cold && serial == parallel_warm;
   std::printf("Table-4 grid (%zu cells):\n", serial.size());
   std::printf("  serial             %8.3f s\n", table4_serial_s);
   std::printf("  parallel x%-2u cold  %8.3f s\n", hw,
@@ -85,35 +114,25 @@ int main() {
   jr.metric("table4_bit_identical", identical ? 1.0 : 0.0);
 
   // ---- Figure-3 load sweep ---------------------------------------------
-  core::RttSweepSpec sweep;
-  for (double rho = 0.02; rho < 0.93; rho += 0.01) {
-    sweep.n_values.push_back(
-        sweep.scenario.clients_for_downlink_load(rho));
-  }
+  const auto figure3 = figure3_batch();
   par::set_global_thread_count(1);
   cache.clear();
   t0 = Clock::now();
-  const auto sweep_serial = core::sweep_rtt_quantiles(sweep);
+  const auto sweep_serial = execute(figure3);
   const double sweep_serial_s = seconds_since(t0);
 
   par::set_global_thread_count(hw);
   cache.clear();
   t0 = Clock::now();
-  const auto sweep_parallel = core::sweep_rtt_quantiles(sweep);
+  const auto sweep_parallel = execute(figure3);
   const double sweep_parallel_s = seconds_since(t0);
   t0 = Clock::now();
-  const auto sweep_warm = core::sweep_rtt_quantiles(sweep);
+  const auto sweep_warm = execute(figure3);
   const double sweep_warm_s = seconds_since(t0);
 
-  bool sweep_identical = sweep_serial.size() == sweep_parallel.size() &&
-                         sweep_serial.size() == sweep_warm.size();
-  for (std::size_t i = 0; sweep_identical && i < sweep_serial.size();
-       ++i) {
-    const double q = sweep_serial[i].rtt_quantile_ms;
-    sweep_identical = q == sweep_parallel[i].rtt_quantile_ms &&
-                      q == sweep_warm[i].rtt_quantile_ms;
-  }
-  std::printf("\nFigure-3 sweep (%zu points):\n", sweep.n_values.size());
+  const bool sweep_identical =
+      sweep_serial == sweep_parallel && sweep_serial == sweep_warm;
+  std::printf("\nFigure-3 sweep (%zu points):\n", figure3.size());
   std::printf("  serial             %8.3f s\n", sweep_serial_s);
   std::printf("  parallel x%-2u       %8.3f s (cold), %.3f s (warm)\n",
               hw, sweep_parallel_s, sweep_warm_s);
@@ -172,5 +191,6 @@ int main() {
   bench::footnote(
       "Speedups are serial over parallel wall time; parallel results are"
       " checked bit-identical against serial at every stage.");
-  return 0;
+  jr.emit();
+  return identical && sweep_identical && reps_identical ? 0 : 1;
 }

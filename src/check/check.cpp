@@ -8,7 +8,9 @@
 
 #include "core/dimensioning.h"
 #include "core/rtt_model.h"
+#include "core/sweep.h"
 #include "core/validation.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "queueing/convolution.h"
@@ -38,6 +40,9 @@ constexpr double kLoadStep = 1e-3;
 constexpr double kRhoBracket = 1e-4;
 /// Bound growth of the dimensioning monotonicity relation.
 constexpr double kBoundGrowth = 1.1;
+/// Load step of the sweep-grid relation (the grid of `fpsq sweep
+/// --step 0.1`: loads 0.1 .. 0.9).
+constexpr double kSweepStep = 0.1;
 
 /// Tail abscissae probed per law, as multiples of the mean: body,
 /// shoulder, and deep tail where the pole expansions disagree first.
@@ -415,9 +420,56 @@ class PointChecker {
     out_.mismatches.push_back(std::move(m));
   }
 
+  /// The serve sweep op's load grid over this point's scenario and
+  /// epsilon. Every grid point must be exact (a failed one is a
+  /// solver_health finding), the RTT quantile must not fall from one
+  /// load to the next (load_monotone's slack), and each point's
+  /// quantile and mean must equal, bit for bit, the rtt op at the same
+  /// gamer count.
+  void check_sweep() {
+    if (p_.scenario.erlang_k < 2) return;
+    const auto grid =
+        core::sweep_load_grid(p_.scenario, p_.epsilon, kSweepStep);
+    const serve::Engine engine;
+    serve::Request rtt;
+    rtt.scenario = p_.scenario;
+    rtt.epsilon = p_.epsilon;
+    const core::RttSweepPoint* prev = nullptr;
+    for (const core::RttSweepPoint& g : grid) {
+      std::string where = "sweep_point";
+      append_g(where, "load", g.load);
+      if (g.failed()) {
+        solver_mismatch(g.error, where.c_str(), p_.epsilon);
+        prev = nullptr;
+        continue;
+      }
+      if (prev != nullptr) {
+        at_most(PathPair::kSweepGrid, "sweep_rtt_grows_with_load",
+                prev->rtt_quantile_ms, g.rtt_quantile_ms);
+      }
+      prev = &g;
+      rtt.gamers = g.n_clients;
+      const std::string response = engine.execute_one(rtt);
+      const obs::json::Value parsed = obs::json::parse(response);
+      const obs::json::Value* op = parsed.find("result");
+      if (op == nullptr) {
+        Mismatch m = base_mismatch(PathPair::kSolverHealth);
+        m.detail = describe(p_) + " " + where + " rtt op: " + response;
+        out_.mismatches.push_back(std::move(m));
+        continue;
+      }
+      const double nan = std::nan("");
+      compare(PathPair::kSweepGrid, where + " rtt_quantile_ms",
+              g.rtt_quantile_ms, op->number_or("rtt_quantile_ms", nan), 0.0,
+              0.0);
+      compare(PathPair::kSweepGrid, where + " rtt_mean_ms", g.rtt_mean_ms,
+              op->number_or("rtt_mean_ms", nan), 0.0, 0.0);
+    }
+  }
+
   /// Serve-vs-cold byte identity on the leading corpus points: batched
-  /// engine responses (dedup + pool) must equal one-shot evaluation,
-  /// which is what the CLI's rtt / dimension commands print.
+  /// engine responses (a duplicate pair, on the pool) must equal one-shot
+  /// evaluation, which is what the CLI's rtt / dimension commands print.
   void check_serve() {
     if (p_.index >= opt_.serve_points || p_.scenario.erlang_k < 2) return;
     serve::Request req;
@@ -427,7 +479,7 @@ class PointChecker {
     req.epsilon = p_.epsilon;
     req.gamers = p_.n_clients;
     req.bound_ms = 80.0;
-    serve::Request dup = req;  // same work_key -> exercises dedup
+    serve::Request dup = req;  // a duplicate in one batch
     dup.id = "chk-" + std::to_string(p_.index) + "-b";
 
     serve::ParsedRequest pa;
@@ -479,6 +531,7 @@ PointOutcome evaluate_point(const CheckPoint& p, const CheckOptions& opt) {
   PointChecker checker(p, opt);
   checker.check_law();
   checker.check_model();
+  checker.check_sweep();
   checker.check_serve();
   return std::move(checker).take();
 }
@@ -570,6 +623,7 @@ const char* path_pair_name(PathPair pair) noexcept {
     case PathPair::kBreakdownBounds: return "breakdown_bounds";
     case PathPair::kLoadMonotone: return "load_monotone";
     case PathPair::kDimensionBracket: return "dimension_bracket";
+    case PathPair::kSweepGrid: return "sweep_grid";
   }
   return "?";
 }

@@ -25,6 +25,9 @@
 //   load_monotone      the RTT quantile does not fall as the load grows
 //   dimension_bracket  dimension_for_rtt at the point's own RTT quantile
 //                      brackets the point's load and grows with the bound
+//   sweep_grid         the serve sweep op's load grid: RTT quantile not
+//                      falling along it, each point equal to the rtt op
+//                      (a failed grid point is a solver_health finding)
 //
 // Determinism contract: run_check() evaluates points with
 // par::parallel_map and aggregates in index order, every point derives
@@ -51,6 +54,7 @@ enum class PathPair {
   kBreakdownBounds,
   kLoadMonotone,
   kDimensionBracket,
+  kSweepGrid,
 };
 
 /// Stable wire/report name ("kernel_vs_mgf", ...).

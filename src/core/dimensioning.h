@@ -34,7 +34,7 @@ struct DimensioningResult {
 
 /// Non-throwing variant: any solver failure at any probed load surfaces
 /// as the structured error instead of unwinding through the bisection
-/// (used by dimension_table to flag a cell without aborting the grid).
+/// (the serve engine's dimension op answers it with the error's code).
 [[nodiscard]] err::Result<DimensioningResult> dimension_for_rtt_checked(
     const AccessScenario& scenario, double rtt_bound_ms, double epsilon);
 

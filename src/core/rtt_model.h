@@ -32,11 +32,11 @@ namespace fpsq::core {
 
 class RttModel {
  public:
-  /// Non-throwing factory: the construction path used by the batch
-  /// drivers (core::sweep_rtt_quantiles, dimension_table). The burst-wait
-  /// solver comes from queueing::SolverCache::global(), whose entries are
-  /// the canonical solves, and the M/D/1 upstream is solved here, so a
-  /// model is a pure function of its arguments.
+  /// Non-throwing factory: the construction path of the serve engine's
+  /// ops (core::sweep_load_grid, dimension_for_rtt_checked). The
+  /// burst-wait solver comes from queueing::SolverCache::global(), whose
+  /// entries are the canonical solves, and the M/D/1 upstream is solved
+  /// here, so a model is a pure function of its arguments.
   /// Errors:
   ///   - kBadParameters   invalid scenario, n <= 0, K < 2
   ///   - kUnstable        rho_up >= 1 or rho_down >= 1

@@ -19,8 +19,8 @@
 //     numeric failures throw SolverFailure, a std::runtime_error).
 //
 // Observability: record_failure() bumps `err.solver_failures` and
-// `err.solver_failures.<code>`; the sweep drivers additionally count
-// `err.fallback_cells` / `err.failed_cells`. See docs/ROBUSTNESS.md.
+// `err.solver_failures.<code>`; a failed sweep point additionally counts
+// `err.failed_cells`. See docs/ROBUSTNESS.md.
 #pragma once
 
 #include <optional>

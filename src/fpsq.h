@@ -15,7 +15,6 @@
 #include "core/scenario.h"
 #include "core/validation.h"
 #include "dist/dist.h"
-#include "queueing/bounds.h"
 #include "queueing/chernoff.h"
 #include "queueing/convolution.h"
 #include "queueing/erlang_mix.h"

@@ -635,10 +635,9 @@ void ensure_baseline_schema() {
   (void)reg.counter("queueing.cache.giek1.hits");
   (void)reg.counter("queueing.cache.giek1.misses");
   (void)reg.gauge("queueing.cache.entries");
-  // Robustness layer (fpsq::err + the degrading sweep drivers).
+  // Robustness layer (fpsq::err + failed sweep points).
   (void)reg.counter("err.solver_failures");
   (void)reg.counter("err.injected_faults");
-  (void)reg.counter("err.fallback_cells");
   (void)reg.counter("err.failed_cells");
   // Tail-inversion kernel (queueing::TailKernel + invert_tail_newton).
   (void)reg.counter("queueing.kernel.tail_evals");

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstddef>
-#include <map>
 #include <utility>
 
 #include "core/dimensioning.h"
@@ -17,9 +16,8 @@ namespace fpsq::serve {
 
 namespace {
 
-/// Builds the response body after the id — everything from `"ok":...` to
-/// the closing brace — so one evaluated fragment can be re-wrapped with
-/// each duplicate request's own id.
+/// The response line of request `id` around its id-free body fragment
+/// (everything from `"ok":...` to the closing brace).
 std::string wrap(const std::string& id, const std::string& fragment) {
   std::string out = "{\"id\":\"";
   obs::json::escape_to(out, id);
@@ -102,14 +100,14 @@ std::string dimension_fragment(const Request& req, int precision) {
 }
 
 std::string sweep_fragment(const Request& req, int precision) {
-  const auto sweep =
+  const auto points =
       core::sweep_load_grid(req.scenario, req.epsilon, req.step);
   std::string out = "\"ok\":true,\"op\":\"sweep\",\"result\":{\"points\":[";
-  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-    const core::RttSweepPoint& p = sweep.points[i];
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const core::RttSweepPoint& p = points[i];
     if (i > 0) out += ",";
     out += "{";
-    append_field(out, "load", sweep.loads[i], precision);
+    append_field(out, "load", p.load, precision);
     out += ",";
     append_field(out, "gamers", p.n_clients, precision);
     out += ",";
@@ -117,7 +115,7 @@ std::string sweep_fragment(const Request& req, int precision) {
     out += ",";
     append_field(out, "rtt_mean_ms", p.rtt_mean_ms, precision);
     out += ",\"status\":\"";
-    out += p.failed ? "failed" : p.fallback_bound ? "bound" : "exact";
+    out += p.failed() ? "failed" : "exact";
     out += "\"}";
   }
   out += "]}";
@@ -155,9 +153,9 @@ std::vector<std::string> Engine::execute(
   FPSQ_OBS_HIST("serve.batch_size", static_cast<double>(batch.size()));
   std::vector<std::string> responses(batch.size());
 
-  // Pass 1: answer everything that does not need evaluation (malformed
-  // requests, expired deadlines) and group the rest by work key.
-  std::map<std::string, std::vector<std::size_t>> groups;
+  // Answer everything that needs no evaluation (malformed requests,
+  // expired deadlines), then evaluate the rest once each, in parallel.
+  std::vector<std::size_t> todo;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const ParsedRequest& p = batch[i];
     if (!p.ok) {
@@ -174,37 +172,20 @@ std::vector<std::string> Engine::execute(
       FPSQ_OBS_COUNT("serve.timeouts");
       continue;
     }
-    groups[req.work_key()].push_back(i);
+    todo.push_back(i);
   }
-
-  // Pass 2: evaluate each distinct work key once, in parallel.
-  std::vector<const std::vector<std::size_t>*> unique;
-  unique.reserve(groups.size());
-  std::size_t executable = 0;
-  for (const auto& [key, members] : groups) {
-    (void)key;
-    unique.push_back(&members);
-    executable += members.size();
-  }
-  FPSQ_OBS_COUNT_N("serve.dedup_hits",
-                   static_cast<std::uint64_t>(executable - unique.size()));
-  std::vector<std::string> fragments(unique.size());
   par::global_pool().parallel_for(
-      unique.size(),
-      [&](std::size_t u) {
-        fragments[u] = evaluate_fragment(
-            batch[unique[u]->front()].request, options_.precision);
+      todo.size(),
+      [&](std::size_t t) {
+        const Request& req = batch[todo[t]].request;
+        const std::string fragment =
+            evaluate_fragment(req, options_.precision);
+        if (fragment.starts_with("\"ok\":false")) {
+          FPSQ_OBS_COUNT("serve.errors");
+        }
+        responses[todo[t]] = wrap(req.id, fragment);
       },
       /*chunk=*/1);
-
-  // Pass 3: wrap every member of every group with its own id.
-  for (std::size_t u = 0; u < unique.size(); ++u) {
-    const bool failed = fragments[u].rfind("\"ok\":false", 0) == 0;
-    for (const std::size_t i : *unique[u]) {
-      responses[i] = wrap(batch[i].request.id, fragments[u]);
-      if (failed) FPSQ_OBS_COUNT("serve.errors");
-    }
-  }
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (batch[i].ok) {

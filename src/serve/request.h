@@ -68,9 +68,10 @@ struct Request {
   /// Stamped at admission; execution checks the deadline against it.
   std::chrono::steady_clock::time_point admitted_at;
 
-  /// Canonical dedup key: two requests with equal keys are guaranteed to
-  /// produce byte-identical responses, so a batch executes each distinct
-  /// key once (the id, deadline and admission time are excluded).
+  /// Canonical key of the evaluation: two requests with equal keys get
+  /// byte-identical response bodies (everything after the id), since the
+  /// key holds every field an evaluation reads and excludes the id,
+  /// deadline and admission time.
   [[nodiscard]] std::string work_key() const;
 };
 

@@ -214,20 +214,12 @@ void submit_rest(Input& in, Server& server) {
   in.pending.clear();
 }
 
-/// One read() of a stream poll() reported ready; submits every complete
-/// line (a trailing '\r' stripped). At EOF or on a read error, submits
-/// the unterminated rest and marks the stream closed.
-void read_lines(Input& in, Server& server) {
-  char chunk[65536];
-  const ssize_t n = ::read(in.fd, chunk, sizeof chunk);
-  if (n < 0 && errno == EINTR) return;
-  if (n <= 0) {
-    submit_rest(in, server);
-    in.open = false;
-    return;
-  }
+/// Appends `n` bytes read from the stream and submits every complete
+/// line (a trailing '\r' stripped).
+void submit_lines(Input& in, Server& server, const char* bytes,
+                  std::size_t n) {
   const std::size_t scanned = in.pending.size();  // holds no newline
-  in.pending.append(chunk, static_cast<std::size_t>(n));
+  in.pending.append(bytes, n);
   std::size_t begin = 0;
   for (std::size_t nl = in.pending.find('\n', scanned);
        nl != std::string::npos; nl = in.pending.find('\n', begin)) {
@@ -239,13 +231,43 @@ void read_lines(Input& in, Server& server) {
   in.pending.erase(0, begin);
 }
 
+/// One read() of a stream poll() reported ready. At EOF or on a read
+/// error, submits the unterminated rest and marks the stream closed.
+void read_lines(Input& in, Server& server) {
+  char chunk[65536];
+  const ssize_t n = ::read(in.fd, chunk, sizeof chunk);
+  if (n < 0 && errno == EINTR) return;
+  if (n <= 0) {
+    submit_rest(in, server);
+    in.open = false;
+    return;
+  }
+  submit_lines(in, server, chunk, static_cast<std::size_t>(n));
+}
+
+/// After drain(): closing a socket that still holds unread input resets
+/// the connection, which can discard answers its client has not read
+/// yet. So read what the connection already buffered, without waiting,
+/// and submit it; admission is closed, so every line (and the
+/// unterminated rest) is answered `shed`, after the answers the drain
+/// wrote. recv() fails on a non-socket stdin, which leaves it as it is.
+void shed_buffered(Input& in, Server& server) {
+  char chunk[65536];
+  ssize_t n;
+  while ((n = ::recv(in.fd, chunk, sizeof chunk, MSG_DONTWAIT)) > 0) {
+    submit_lines(in, server, chunk, static_cast<std::size_t>(n));
+  }
+  submit_rest(in, server);
+}
+
 /// The loop both front ends share (structure in server.h). Each pass
 /// polls the stop pipe, the listen socket (listen_fd >= 0 only; poll
 /// skips a negative fd) and every open input, reads what is ready,
 /// executes everything admitted and only then polls again. Without a
 /// listen socket it ends once every input reached EOF. A drain request
 /// ends it at once; either way everything admitted is answered before
-/// it returns.
+/// it returns, and input still buffered on an open stream is answered
+/// `shed` after that.
 void serve_loop(Server& server, int stop_fd, int listen_fd,
                 std::vector<Input> inputs) {
   std::vector<struct pollfd> fds;
@@ -274,8 +296,8 @@ void serve_loop(Server& server, int stop_fd, int listen_fd,
     server.execute_admitted();
     if (listen_fd < 0 && inputs.empty()) break;  // every input at EOF
   }
-  for (Input& in : inputs) submit_rest(in, server);
   server.drain();  // EOF or signal: answer everything admitted
+  for (Input& in : inputs) shed_buffered(in, server);
 }
 
 }  // namespace

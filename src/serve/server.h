@@ -14,9 +14,9 @@
 //   poll again
 //
 // There is no gather window: a batch is the backlog that built up while
-// the previous one ran. The par pool still evaluates a batch's distinct
-// work keys in parallel, so the process runs the loop plus the pool's
-// workers and no other thread, however many connections it serves.
+// the previous one ran. The par pool still evaluates a batch's requests
+// in parallel, so the process runs the loop plus the pool's workers and
+// no other thread, however many connections it serves.
 //
 // Admission control: the request queue is bounded (ServerOptions::
 // max_queue). A line read while the queue is full is answered at once
@@ -28,7 +28,9 @@
 //
 // Drain: EOF on stdin, or SIGTERM/SIGINT in either front end, stops
 // reading; drain() closes admission, executes and answers everything
-// admitted, and the front end exits 0.
+// admitted; lines an open connection still has buffered are then read
+// and answered `shed` (closing a socket with unread input would reset
+// it and could discard answers not yet read), and the front end exits 0.
 //
 // Ordering: responses on one sink are written in admission order. Shed
 // responses are written when their line is read and may therefore

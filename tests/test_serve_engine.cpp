@@ -1,6 +1,6 @@
 // serve::parse_request + serve::Engine: request validation, structured
-// error responses, micro-batch dedup, and the bit-identity contract —
-// a batched (deduplicated, cache-warmed) response must equal the cold
+// error responses, micro-batches with duplicates, and the bit-identity
+// contract — a batched (cache-warmed) response must equal the cold
 // one-shot evaluation byte for byte.
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@ using serve::Op;
 using serve::ParsedRequest;
 using serve::parse_request;
 
-/// Response body after the id field, for comparing dedup copies.
+/// Response body after the id field, for comparing duplicate requests.
 std::string body_of(const std::string& response) {
   const std::size_t pos = response.find("\",\"ok\":");
   EXPECT_NE(pos, std::string::npos) << response;
@@ -117,7 +117,7 @@ TEST(ServeEngine, BadRequestGetsStructuredResponse) {
 
 TEST(ServeEngine, ErlangOrderOneIsABadRequestForEveryOp) {
   // K = 1 has no uniform-position law (eq. 34 needs K >= 2): it must be
-  // rejected up front, not answered by the sweep's Kingman substitute.
+  // rejected up front, not answered by a sweep of failed points.
   Engine engine;
   const auto responses = engine.execute(
       {admitted(R"({"id":"r","op":"rtt","scenario":{"k":1}})"),
@@ -165,7 +165,7 @@ TEST(ServeEngine, ExpiredDeadlineIsShedBeforeExecution) {
   EXPECT_EQ(error_code_of(responses[0]), "deadline_exceeded");
 }
 
-TEST(ServeEngine, DedupCopiesCarryTheirOwnIds) {
+TEST(ServeEngine, DuplicateRequestsCarryTheirOwnIds) {
   Engine engine;
   const auto responses = engine.execute({
       admitted(R"({"id":"first","op":"rtt","gamers":60})"),
@@ -179,8 +179,8 @@ TEST(ServeEngine, DedupCopiesCarryTheirOwnIds) {
 }
 
 // The serving guarantee of docs/SERVING.md: a response produced from a
-// deduplicated, cache-warmed batch equals the cold one-shot evaluation
-// of the same request byte for byte, at any thread count.
+// cache-warmed batch with duplicates equals the cold one-shot
+// evaluation of the same request byte for byte, at any thread count.
 TEST(ServeEngine, BatchedResponsesBitIdenticalToColdOneShot) {
   auto& cache = queueing::SolverCache::global();
   Engine engine;
@@ -205,7 +205,7 @@ TEST(ServeEngine, BatchedResponsesBitIdenticalToColdOneShot) {
     oneshot.push_back(engine.execute_one(p.request));
   }
 
-  // One warm batch on a parallel pool: dedup + shared cache.
+  // One warm batch on a parallel pool: duplicates + shared cache.
   par::set_global_thread_count(4);
   cache.clear();
   std::vector<ParsedRequest> batch;

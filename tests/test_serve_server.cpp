@@ -84,7 +84,7 @@ TEST(ServeServer, SnapshotCarriesEveryMetricPerfbenchReads) {
   Server server{opts};
   auto sink = std::make_shared<CollectSink>();
   // Queued before drain(), so they run as one batch: a duplicate
-  // (dedup), jittered ticks (giek1), an already expired deadline
+  // (a SolverCache hit), jittered ticks (giek1), an already expired deadline
   // (timeout), and a fifth line past the admission bound (shed).
   server.submit_line(R"({"id":"a","op":"rtt","gamers":60})", sink);
   server.submit_line(R"({"id":"b","op":"rtt","gamers":60})", sink);
@@ -110,7 +110,7 @@ TEST(ServeServer, SnapshotCarriesEveryMetricPerfbenchReads) {
         "queueing.cache.dek1.misses", "queueing.cache.giek1.hits",
         "queueing.cache.giek1.misses", "queueing.cache.entries",
         "par.pool.busy_s", "par.pool.queue_high_water",
-        "serve.request_latency_ms", "serve.batch_size", "serve.dedup_hits",
+        "serve.request_latency_ms", "serve.batch_size",
         "serve.queue_depth_peak", "serve.shed", "serve.timeouts",
         "serve.write_errors"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), want), names.end())

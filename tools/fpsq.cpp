@@ -17,6 +17,7 @@
 // the full flag list.
 #include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +31,6 @@
 
 #include "check/check.h"
 #include "core/report.h"
-#include "core/sweep.h"
 #include "core/validation.h"
 #include "dist/fitting.h"
 #include "err/error.h"
@@ -326,35 +326,50 @@ int cmd_rtt(const Args& args) {
 int cmd_dimension(const Args& args) {
   const auto req = request_from(args, serve::Op::kDimension);
   if (args.has("ks") || args.has("bounds")) {
-    // Table-4 grid mode: every (K, bound) cell, in parallel. A cell
-    // whose solver fails is flagged in the output instead of aborting
-    // the other cells (see docs/ROBUSTNESS.md). The lists take the same
-    // ranges as --k and --bound.
-    core::DimensioningTableSpec spec;
-    spec.scenario = req.scenario;
-    for (const double k : args.numbers("ks")) {
+    // Table-4 grid mode: one copy of the request per (K, bound) cell,
+    // all answered by one Engine::execute batch, as `fpsq serve` answers
+    // its batches. A cell whose solve fails prints its error code and
+    // leaves the other cells alone (see docs/ROBUSTNESS.md). The lists
+    // take the same ranges as --k and --bound.
+    std::vector<double> ks = args.numbers("ks");
+    for (const double k : ks) {
       args.require(k >= 2.0 && k <= 512.0 && k == std::floor(k), "ks",
                    "a list of integers in [2, 512]");
-      spec.ks.push_back(static_cast<int>(k));
     }
-    if (spec.ks.empty()) spec.ks.push_back(req.scenario.erlang_k);
-    spec.rtt_bounds_ms = args.numbers("bounds");
-    for (const double b : spec.rtt_bounds_ms) {
+    if (ks.empty()) ks.push_back(req.scenario.erlang_k);
+    std::vector<double> bounds = args.numbers("bounds");
+    for (const double b : bounds) {
       args.require(b > 0.0, "bounds", "a list of bounds > 0 [ms]");
     }
-    if (spec.rtt_bounds_ms.empty()) spec.rtt_bounds_ms.push_back(req.bound_ms);
-    spec.epsilon = req.epsilon;
+    if (bounds.empty()) bounds.push_back(req.bound_ms);
+    std::vector<serve::ParsedRequest> cells;
+    for (const double k : ks) {
+      for (const double b : bounds) {
+        serve::ParsedRequest cell;
+        cell.ok = true;
+        cell.request = req;
+        cell.request.scenario.erlang_k = static_cast<int>(k);
+        cell.request.bound_ms = b;
+        cell.request.admitted_at = std::chrono::steady_clock::now();
+        cells.push_back(std::move(cell));
+      }
+    }
+    const auto responses = serve::Engine{}.execute(cells);
     print_scenario(req.scenario);
     std::printf("k,bound_ms,max_load,max_gamers,rtt_at_max_ms,status\n");
-    for (const auto& cell : core::dimension_table(spec)) {
-      if (cell.failed) {
-        std::printf("%d,%.0f,,,,failed:%s\n", cell.erlang_k,
-                    cell.rtt_bound_ms, err::code_name(cell.error));
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const serve::Request& cell = cells[i].request;
+      const obs::json::Value response = obs::json::parse(responses[i]);
+      if (const obs::json::Value* d = response.find("result")) {
+        std::printf("%d,%.0f,%.4f,%d,%.2f,ok\n", cell.scenario.erlang_k,
+                    cell.bound_ms, field(*d, "rho_max"),
+                    static_cast<int>(field(*d, "n_max_int")),
+                    field(*d, "rtt_at_max_ms"));
         continue;
       }
-      std::printf("%d,%.0f,%.4f,%d,%.2f,ok\n", cell.erlang_k,
-                  cell.rtt_bound_ms, cell.result.rho_max,
-                  cell.result.n_max_int, cell.result.rtt_at_max_ms);
+      std::printf("%d,%.0f,,,,failed:%s\n", cell.scenario.erlang_k,
+                  cell.bound_ms,
+                  response.find("error")->string_or("code", "").c_str());
     }
     return 0;
   }
@@ -374,8 +389,7 @@ int cmd_sweep(const Args& args) {
   print_scenario(req.scenario);
   std::printf("load,gamers,rtt_quantile_ms,rtt_mean_ms,status\n");
   for (const obs::json::Value& p : r.find("points")->array) {
-    // "bound" marks a point served by the Kingman fallback after a
-    // solver failure; "failed" means not even the bound applied.
+    // "failed" marks a point whose solve failed; its delays read 0.
     std::printf("%.3f,%.1f,%.2f,%.2f,%s\n", field(p, "load"),
                 field(p, "gamers"), field(p, "rtt_quantile_ms"),
                 field(p, "rtt_mean_ms"), p.string_or("status", "").c_str());
@@ -782,16 +796,17 @@ const char* usage_text(const std::string& topic) {
   if (topic == "dimension") {
     return "fpsq dimension --bound MS [--eps 1e-5] [scenario flags]\n"
            "  largest load / gamer count meeting the RTT bound\n"
-           "  grid mode (Table-4 style, parallel): --ks 2,9,20"
-           " --bounds 50,100\n"
-           "  (a failed grid cell is flagged in the status column,\n"
-           "   the rest of the table is unaffected)\n";
+           "  grid mode (Table-4 style): --ks 2,9,20 --bounds 50,100\n"
+           "  runs one request per cell as one serve-engine batch, in\n"
+           "  parallel on --threads workers (a failed cell prints\n"
+           "  failed:<code> in the status column, the rest of the table\n"
+           "  is unaffected)\n";
   }
   if (topic == "sweep") {
     return "fpsq sweep [--step 0.05] [--eps 1e-5] [scenario flags]\n"
            "  CSV of RTT quantiles vs load (Figure-3 style), evaluated in\n"
            "  parallel on --threads workers; the status column reports\n"
-           "  exact | bound (Kingman fallback) | failed per point\n";
+           "  exact | failed per point (a failed point's delays read 0)\n";
   }
   if (topic == "report") {
     return "fpsq report --gamers N [--eps 1e-5] [--telemetry 0|1]\n"
@@ -837,14 +852,15 @@ const char* usage_text(const std::string& topic) {
            "  line (ops rtt | dimension | sweep), one JSON response per\n"
            "  line, in admission order — see docs/SERVING.md for the\n"
            "  schema. One poll loop reads every input; what arrived while\n"
-           "  a batch ran forms the next batch (up to --batch requests).\n"
-           "  Requests in one batch that share a solver configuration are\n"
-           "  deduplicated; every answer is bit-identical to a one-shot\n"
-           "  run, whatever the cache holds.\n"
+           "  a batch ran forms the next batch (up to --batch requests),\n"
+           "  whose requests are evaluated in parallel, each once; every\n"
+           "  answer is bit-identical to a one-shot run, whatever the\n"
+           "  cache holds.\n"
            "  --queue bounds admission (overflow is answered with a\n"
            "  structured `shed` error), --deadline-ms expires stale\n"
            "  requests, SIGTERM/SIGINT drain gracefully (every admitted\n"
-           "  request is answered, then exit 0).\n"
+           "  request is answered, lines not yet read are answered\n"
+           "  `shed`, then exit 0).\n"
            "  --listen accepts loopback TCP connections instead of stdin.\n"
            "  --tick-ms is accepted and has no effect (there is no gather\n"
            "  window).\n";

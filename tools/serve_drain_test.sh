@@ -11,6 +11,9 @@ trap 'rm -rf "$dir"' EXIT
 fifo="$dir/requests.fifo"
 out="$dir/responses.ndjson"
 mkfifo "$fifo"
+# The background job opens "$out" only after the fifo opens, so create
+# it now: the wait loop below must not read a file that is not there yet.
+: > "$out"
 
 "$FPSQ" serve --stdin < "$fifo" > "$out" &
 pid=$!

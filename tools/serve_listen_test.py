@@ -3,7 +3,7 @@
 
     python3 tools/serve_listen_test.py path/to/fpsq
 
-Starts one server on a free loopback port (--precision 6 --threads 2)
+Starts a server on a free loopback port (--precision 6 --threads 2)
 and checks, in order:
 
   (a) the smoke requests, split over two concurrent connections, come
@@ -14,7 +14,12 @@ and checks, in order:
       the server's VmSize by less than 16 MB (a thread or buffer kept
       per served connection grows it without bound);
   (c) SIGTERM with an idle connection open drains: the server exits 0,
-      and every request line it read was answered and delivered.
+      and every request line it read was answered and delivered;
+  (d) on a second server (--threads 1, so the signal handler runs on
+      the loop's thread), a line sent while the server is stopped, and
+      so still unread when the drain begins, is answered `shed` after
+      the connection's earlier answer, and the connection then ends
+      with a clean EOF instead of a reset.
 """
 
 import json
@@ -24,6 +29,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
@@ -44,13 +50,13 @@ def free_port():
         return s.getsockname()[1]
 
 
-def start_server(fpsq, metrics_out):
+def start_server(fpsq, metrics_out, threads=THREADS):
     """Starts the server; retries when another process took the port."""
     for _ in range(5):
         port = free_port()
         proc = subprocess.Popen(
             [fpsq, "serve", "--listen", str(port), "--precision", "6",
-             "--threads", str(THREADS), "--metrics-out", metrics_out],
+             "--threads", str(threads), "--metrics-out", metrics_out],
             stdout=subprocess.PIPE, text=True)
         if "listening on" in proc.stdout.readline():
             return proc, port
@@ -64,6 +70,27 @@ def status_field(pid, name):
         if line.startswith(name + ":"):
             return int(line.split()[1])
     fail(f"no {name} in /proc/{pid}/status")
+
+
+def wait_stopped(pid):
+    """Waits until /proc/<pid>/stat shows the process stopped (state T)."""
+    deadline = time.monotonic() + TIMEOUT_S
+    while time.monotonic() < deadline:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+        if stat[stat.rindex(")") + 2] == "T":
+            return
+        time.sleep(0.001)
+    fail("server never stopped after SIGSTOP")
+
+
+def wait_exit_0(proc):
+    try:
+        status = proc.wait(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        fail("server did not exit after SIGTERM")
+    if status != 0:
+        fail(f"server exited {status} after SIGTERM (want 0)")
 
 
 class Conn:
@@ -161,13 +188,7 @@ def check_sigterm_drain(proc, port):
     if json.loads(first)["id"] != "d0":
         fail(f"first drain-phase response is {first}")
     proc.send_signal(signal.SIGTERM)
-    try:
-        status = proc.wait(timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        fail("server did not exit after SIGTERM")
-    if status != 0:
-        fail(f"server exited {status} after SIGTERM (want 0)")
+    wait_exit_0(proc)
     rest = busy.read_to_eof()
     if idle.read_to_eof():
         fail("the idle connection received data")
@@ -180,31 +201,75 @@ def check_sigterm_drain(proc, port):
     return 1 + len(ids)
 
 
+def check_unread_input_drain(proc, port):
+    """(d): input the loop has not read at the drain is answered shed."""
+    conn = Conn(port)
+    conn.send(json.dumps({"id": "a", "op": "rtt", "gamers": 60}))
+    (answer,) = conn.read_lines(1)
+    if json.loads(answer)["id"] != "a":
+        fail(f"first response is {answer}")
+    # Line b arrives while the server is stopped, and SIGTERM before it
+    # runs again: the drain starts with b unread in the socket.
+    proc.send_signal(signal.SIGSTOP)
+    wait_stopped(proc.pid)
+    conn.send(json.dumps({"id": "b", "op": "rtt", "gamers": 60}))
+    proc.send_signal(signal.SIGTERM)
+    proc.send_signal(signal.SIGCONT)
+    wait_exit_0(proc)
+    try:
+        rest = conn.read_to_eof()
+    except ConnectionResetError:
+        fail("the drain reset a connection that had unread input")
+    conn.close()
+    if len(rest) != 1:
+        fail(f"after a's answer the connection got {rest}, want b shed")
+    shed = json.loads(rest[0])
+    if shed["id"] != "b" or shed.get("error", {}).get("code") != "shed":
+        fail(f"unread line answered {rest[0]}, want b answered shed")
+    return 2
+
+
+def check_counters(metrics_out, delivered):
+    """The server's own counts agree with what the clients received."""
+    counters = json.loads(Path(metrics_out).read_text()) \
+        .get("counters", {})
+    # Metrics compiled out (-DFPSQ_NO_METRICS): nothing to compare.
+    if "serve.requests" in counters:
+        read = counters["serve.requests"]
+        answered = counters.get("serve.responses", 0)
+        if not read == answered == delivered:
+            fail(f"server read {read} requests and answered "
+                 f"{answered}; clients received {delivered}")
+
+
+def run(fpsq, metrics_out, threads, checks):
+    """Runs `checks` in order against one server, then its counters."""
+    proc, port = start_server(fpsq, metrics_out, threads)
+    delivered = 0
+    try:
+        for check in checks:
+            delivered += check(proc, port)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    check_counters(metrics_out, delivered)
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        metrics_out = os.path.join(tmp, "m.json")
-        proc, port = start_server(sys.argv[1], metrics_out)
-        try:
-            delivered = check_split_connections(port, proc.pid)
-            delivered += check_sequential_connections(port, proc.pid)
-            delivered += check_sigterm_drain(proc, port)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        counters = json.loads(Path(metrics_out).read_text()) \
-            .get("counters", {})
-        # Metrics compiled out (-DFPSQ_NO_METRICS): nothing to compare.
-        if "serve.requests" in counters:
-            read = counters["serve.requests"]
-            answered = counters.get("serve.responses", 0)
-            if not read == answered == delivered:
-                fail(f"server read {read} requests and answered "
-                     f"{answered}; clients received {delivered}")
-    print("PASS: split connections, sequential connections, SIGTERM drain")
+        run(sys.argv[1], os.path.join(tmp, "m.json"), THREADS, [
+            lambda proc, port: check_split_connections(port, proc.pid),
+            lambda proc, port: check_sequential_connections(port, proc.pid),
+            check_sigterm_drain,
+        ])
+        run(sys.argv[1], os.path.join(tmp, "m1.json"), 1,
+            [check_unread_input_drain])
+    print("PASS: split connections, sequential connections, SIGTERM drain, "
+          "unread input shed at drain")
     return 0
 
 
