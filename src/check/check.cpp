@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/dimensioning.h"
+#include "core/mixed_population.h"
 #include "core/rtt_model.h"
 #include "core/sweep.h"
 #include "core/validation.h"
@@ -15,6 +16,7 @@
 #include "par/thread_pool.h"
 #include "queueing/convolution.h"
 #include "queueing/giek1.h"
+#include "queueing/mg1_erlang_service.h"
 #include "queueing/tail_kernel.h"
 #include "serve/engine.h"
 #include "serve/request.h"
@@ -43,6 +45,18 @@ constexpr double kBoundGrowth = 1.1;
 /// Load step of the sweep-grid relation (the grid of `fpsq sweep
 /// --step 0.1`: loads 0.1 .. 0.9).
 constexpr double kSweepStep = 0.1;
+/// M/E_K/1 two ways: the atom (a probability; 1 - sum Re c_j carries
+/// the residues' rounding, up to 3.2e-10 at rho 0.995 on seeds 1-3) and
+/// the quantile (up to 2.7e-10 relative), whose absolute slack is in
+/// ticks (a quantile just above zero, where rho ~ eps, moves by the
+/// tail's rounding over its density).
+constexpr double kMek1AtomAbs = 2e-9;
+constexpr double kMek1Rel = 3e-9;
+constexpr double kMek1AbsTicks = 1e-12;
+/// Mixed population split in two identical halves: the same dominant
+/// pole up to rounding (7.7e-16 relative on seeds 1-3).
+constexpr double kSplitRel = 1e-12;
+constexpr double kSplitAbsMs = 1e-12;
 
 /// Tail abscissae probed per law, as multiples of the mean: body,
 /// shoulder, and deep tail where the pole expansions disagree first.
@@ -467,6 +481,64 @@ class PointChecker {
     }
   }
 
+  /// M/E_K/1 two ways at the point's K and at 2K, with Poisson bursts
+  /// at the tick rate and the point's mean burst service time: the
+  /// multi-server wait's all-pole search (MG1ErlangMixService with one
+  /// component) against GiEk1Solver on exponential interarrivals. Both
+  /// are exact, so a failure on either side is a finding.
+  void check_mek1() {
+    if (p_.scenario.erlang_k < 2) return;
+    const double period_s = p_.scenario.tick_ms * 1e-3;
+    const double lambda = 1.0 / period_s;
+    const double b = p_.rho_down * period_s;
+    for (const int k : {p_.scenario.erlang_k, 2 * p_.scenario.erlang_k}) {
+      const std::string where = "mek1 k'=" + std::to_string(k);
+      auto ref = queueing::GiEk1Solver::create(
+          k, b, queueing::gamma_arrivals(1.0, lambda));
+      if (!ref) {
+        solver_mismatch(ref.error(), (where + " giek1").c_str(), p_.epsilon);
+        continue;
+      }
+      try {
+        const queueing::MG1ErlangMixService mix{lambda, {{1.0, k, k / b}}};
+        const queueing::ErlangMixMgf wait = mix.full_mgf();
+        compare(PathPair::kMek1TwoWays, where + " atom", wait.constant_term(),
+                ref.value().p_wait_zero(), kMek1AtomAbs, 0.0);
+        compare(PathPair::kMek1TwoWays, where + " quantile",
+                wait.quantile(p_.epsilon),
+                ref.value().wait_quantile(p_.epsilon),
+                kMek1AbsTicks * period_s, kMek1Rel);
+      } catch (const err::SolverFailure& e) {
+        solver_mismatch(e.error(), (where + " full_mgf").c_str(),
+                        p_.epsilon);
+      }
+    }
+  }
+
+  /// Eq. 13 with two identical classes of n/2 gamers is the one-class
+  /// upstream queue of n gamers: same wait quantile and mean.
+  void check_mixed_split() {
+    const core::GamerClass all{p_.n_clients, p_.scenario.client_packet_bytes,
+                               p_.scenario.tick_ms};
+    core::GamerClass half = all;
+    half.n_clients = 0.5 * all.n_clients;
+    const double c = p_.scenario.bottleneck_bps;
+    try {
+      const core::MixedUpstreamModel one{{all}, c};
+      const core::MixedUpstreamModel two{{half, half}, c};
+      compare(PathPair::kMixedSplit, "mixed_split wait_quantile_ms",
+              two.wait_quantile_ms(p_.epsilon),
+              one.wait_quantile_ms(p_.epsilon), kSplitAbsMs, kSplitRel);
+      compare(PathPair::kMixedSplit, "mixed_split mean_wait_ms",
+              two.mean_wait_ms(), one.mean_wait_ms(), kSplitAbsMs,
+              kSplitRel);
+    } catch (const std::invalid_argument&) {
+      // Upstream unstable at this gamer count: nothing to compare.
+    } catch (const err::SolverFailure& e) {
+      solver_mismatch(e.error(), "mixed_split", p_.epsilon);
+    }
+  }
+
   /// Serve-vs-cold byte identity on the leading corpus points: batched
   /// engine responses (a duplicate pair, on the pool) must equal one-shot
   /// evaluation, which is what the CLI's rtt / dimension commands print.
@@ -532,6 +604,8 @@ PointOutcome evaluate_point(const CheckPoint& p, const CheckOptions& opt) {
   checker.check_law();
   checker.check_model();
   checker.check_sweep();
+  checker.check_mek1();
+  checker.check_mixed_split();
   checker.check_serve();
   return std::move(checker).take();
 }
@@ -624,6 +698,8 @@ const char* path_pair_name(PathPair pair) noexcept {
     case PathPair::kLoadMonotone: return "load_monotone";
     case PathPair::kDimensionBracket: return "dimension_bracket";
     case PathPair::kSweepGrid: return "sweep_grid";
+    case PathPair::kMek1TwoWays: return "mek1_two_ways";
+    case PathPair::kMixedSplit: return "mixed_split";
   }
   return "?";
 }

@@ -28,6 +28,10 @@
 //   sweep_grid         the serve sweep op's load grid: RTT quantile not
 //                      falling along it, each point equal to the rtt op
 //                      (a failed grid point is a solver_health finding)
+//   mek1_two_ways      M/E_K/1 at K and 2K: the multi-server wait's
+//                      all-pole search vs GiEk1Solver on Poisson arrivals
+//   mixed_split        a mixed upstream population of two identical
+//                      halves vs one class of all the gamers
 //
 // Determinism contract: run_check() evaluates points with
 // par::parallel_map and aggregates in index order, every point derives
@@ -55,6 +59,8 @@ enum class PathPair {
   kLoadMonotone,
   kDimensionBracket,
   kSweepGrid,
+  kMek1TwoWays,
+  kMixedSplit,
 };
 
 /// Stable wire/report name ("kernel_vs_mgf", ...).

@@ -42,8 +42,7 @@ MultiServerDownstreamModel::MultiServerDownstreamModel(
   }
   queue_ = std::make_unique<queueing::MG1ErlangMixService>(
       lambda, std::move(components));
-  exact_wait_ = queue_->total_order() <= 48;
-  wait_mgf_ = exact_wait_ ? queue_->full_mgf() : queue_->asymptotic_mgf();
+  wait_mgf_ = queue_->full_mgf();
   // Precompile one (wait + position_i) kernel per server: every
   // packet-delay tail/quantile below reuses these instead of integrating
   // the convolution afresh at each evaluation point.

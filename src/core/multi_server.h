@@ -30,16 +30,13 @@ struct GameServerSpec {
 class MultiServerDownstreamModel {
  public:
   /// The shared burst-wait transform is the exact all-pole one
-  /// (MG1ErlangMixService::full_mgf) when the reduced transform order is
-  /// at most 48, else the single dominant pole with its exact residue.
+  /// (MG1ErlangMixService::full_mgf) at every order.
   /// @param servers         at least one server
   /// @param bottleneck_bps  shared reserved pipe rate C
-  /// @throws std::invalid_argument on bad specs, K_i < 2 or rho >= 1
+  /// @throws std::invalid_argument on bad specs, K_i < 2 or rho >= 1;
+  ///         err::SolverFailure when the pole search fails (full_mgf)
   MultiServerDownstreamModel(std::vector<GameServerSpec> servers,
                              double bottleneck_bps);
-
-  /// Whether the exact all-pole wait transform is in use.
-  [[nodiscard]] bool exact_wait() const noexcept { return exact_wait_; }
 
   [[nodiscard]] double rho() const { return queue_->rho(); }
   [[nodiscard]] double burst_rate() const { return queue_->lambda(); }
@@ -53,8 +50,8 @@ class MultiServerDownstreamModel {
   /// Mean burst wait [ms] (Pollaczek-Khinchine, exact).
   [[nodiscard]] double mean_burst_wait_ms() const;
 
-  /// epsilon-quantile of the burst wait alone [ms] (exact or asymptotic
-  /// per exact_wait()).
+  /// epsilon-quantile of the burst wait alone [ms], from the exact
+  /// all-pole transform.
   [[nodiscard]] double burst_wait_quantile_ms(double epsilon) const;
 
   /// Tail of the delay of a tagged packet of server i: burst wait
@@ -75,9 +72,8 @@ class MultiServerDownstreamModel {
  private:
   std::vector<GameServerSpec> servers_;
   double bottleneck_bps_;
-  bool exact_wait_ = false;
   std::unique_ptr<queueing::MG1ErlangMixService> queue_;
-  queueing::ErlangMixMgf wait_mgf_;  ///< burst-wait transform (see exact_wait)
+  queueing::ErlangMixMgf wait_mgf_;  ///< exact burst-wait transform
   std::vector<queueing::ErlangMixture> positions_;
   std::vector<double> burst_share_;  ///< per-server burst-rate fraction
   /// One precompiled (wait + position_i) evaluator per server, built once

@@ -1,10 +1,10 @@
 // fpsq::obs — convergence telemetry for the numeric solvers.
 //
-// The math layer (roots, minimize, fixed_point, lambert_w,
-// polynomial_roots) calls the record_* helpers on every solve; the
-// queueing layer labels those calls with a ScopedSolverContext so the
-// metrics are attributed to the *call site* rather than the algorithm
-// alone:
+// The math layer (roots, minimize, fixed_point, lambert_w) and the
+// queueing layer's own pole searches call the record_* helpers on every
+// solve; the queueing layer labels those calls with a
+// ScopedSolverContext so the metrics are attributed to the *call site*
+// rather than the algorithm alone:
 //
 //     obs::ScopedSolverContext ctx("queueing.giek1");
 //     auto r = math::solve_fixed_point(...);   // records

@@ -1,6 +1,9 @@
 #include "obs/timeline.h"
 
+#include <pthread.h>
+
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <utility>
 
@@ -40,6 +43,13 @@ bool TimelineSampler::start(const Options& options) {
 }
 
 void TimelineSampler::sampling_loop() {
+  // SIGTERM / SIGINT belong to the thread that owns the process's loop
+  // (fpsq serve's drain reads its flag there), never the sampler.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
   const auto interval = std::chrono::duration<double, std::milli>(
       options_.interval_ms);
   std::unique_lock<std::mutex> lock(mu_);

@@ -1,7 +1,10 @@
 #include "par/thread_pool.h"
 
+#include <pthread.h>
+
 #include <atomic>
 #include <condition_variable>
+#include <csignal>
 #include <cstdlib>
 #include <deque>
 #include <exception>
@@ -46,6 +49,13 @@ struct ThreadPool::Impl {
 
   void worker_loop() {
     tls_worker_pool = this;
+    // SIGTERM / SIGINT belong to the thread that owns the process's
+    // loop (fpsq serve's drain reads its flag there), never a worker.
+    sigset_t stop_signals;
+    sigemptyset(&stop_signals);
+    sigaddset(&stop_signals, SIGTERM);
+    sigaddset(&stop_signals, SIGINT);
+    pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
     for (;;) {
       std::function<void()> task;
       {

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
-#include "math/polynomial_roots.h"
+#include "err/error.h"
 #include "math/roots.h"
 #include "obs/solver_telemetry.h"
 #include "obs/trace.h"
@@ -81,30 +83,6 @@ double MG1ErlangMixService::dominant_pole() const {
   return r.root;
 }
 
-ErlangMixMgf MG1ErlangMixService::paper_mgf() const {
-  return ErlangMixMgf::atom_plus_exponential(1.0 - rho_,
-                                             Complex{dominant_pole(), 0.0});
-}
-
-ErlangMixMgf MG1ErlangMixService::asymptotic_mgf() const {
-  const double gamma = dominant_pole();
-  // g'(gamma) = 1 - lambda B'(gamma); tail constant -(1-rho)/g'(gamma).
-  double bp = 0.0;
-  for (const auto& c : components_) {
-    const double k = static_cast<double>(c.k);
-    bp += c.weight * k / c.rate *
-          std::pow(c.rate / (c.rate - gamma), k + 1.0);
-  }
-  const double gp = 1.0 - lambda_ * bp;
-  if (!(gp < 0.0)) {
-    throw std::runtime_error(
-        "MG1ErlangMixService::asymptotic_mgf: unexpected g'(gamma) >= 0");
-  }
-  const double tail_const = -(1.0 - rho_) / gp;
-  return ErlangMixMgf::atom_plus_exponential(1.0 - tail_const,
-                                             Complex{gamma, 0.0});
-}
-
 namespace {
 
 /// Components sharing one (numerically identical) Erlang rate.
@@ -135,6 +113,98 @@ std::vector<RateGroup> group_by_rate(
   return groups;
 }
 
+/// Poles closer than this (relative) are confluent: the simple-pole
+/// expansion does not hold there.
+constexpr double kPoleClash = 1e-7;
+/// Aberth sweep cap; one Erlang component needs 2-3 sweeps.
+constexpr int kMaxSweeps = 200;
+/// Bound on |atom - (1 - rho)|: the residues must carry all of rho.
+constexpr double kAtomTol = 1e-8;
+
+/// z^k for k >= 0 by binary powering.
+Complex ipow(Complex z, int k) {
+  Complex acc{1.0, 0.0};
+  for (; k > 0; k >>= 1) {
+    if ((k & 1) != 0) acc *= z;
+    z *= z;
+  }
+  return acc;
+}
+
+bool finite(Complex z) {
+  return std::isfinite(z.real()) && std::isfinite(z.imag());
+}
+
+struct GValue {
+  Complex g;
+  Complex dg;    ///< g'(s)
+  double floor;  ///< rounding bound on the evaluation of g
+};
+
+/// g(s) = s - lambda (B(s) - 1) and g'(s) on the rate groups. An Erlang
+/// term u^k, u = r/(r - s), is off by about 2(k + 1) ulps (u by two, and
+/// the k-th power multiplies that); eight times their sum is the floor.
+GValue evaluate_g(double lambda, const std::vector<RateGroup>& groups,
+                  Complex s) {
+  Complex b{0.0, 0.0};
+  Complex db{0.0, 0.0};
+  double noise = 0.0;
+  for (const auto& grp : groups) {
+    const Complex inv = 1.0 / (grp.rate - s);
+    for (const auto& [w, k] : grp.members) {
+      const Complex term = w * ipow(grp.rate * inv, k);
+      b += term;
+      db += static_cast<double>(k) * term * inv;
+      noise += 2.0 * static_cast<double>(k + 1) * std::abs(term);
+    }
+  }
+  return {s - lambda * (b - 1.0), 1.0 - lambda * db,
+          8.0 * std::numeric_limits<double>::epsilon() *
+              (std::abs(s) + lambda * (1.0 + noise))};
+}
+
+/// One seed per pole: branch m of group g's eq.-26 fixed point
+///   (1 - s/r_g)^{K_g} = W_g lambda / (s + lambda - lambda sum_other),
+/// W_g the weight of the group's top-order members and "other" every
+/// other term, three steps from s = r_g (1 - 1e-3 omega_m).
+std::vector<Complex> seed_poles(double lambda,
+                                const std::vector<RateGroup>& groups) {
+  std::vector<Complex> seeds;
+  for (const auto& own : groups) {
+    double top = 0.0;
+    for (const auto& [w, k] : own.members) {
+      if (k == own.k_max) top += w;
+    }
+    const double inv_k = 1.0 / static_cast<double>(own.k_max);
+    for (int m = 0; m < own.k_max; ++m) {
+      const Complex omega = std::exp(Complex{0.0, 2.0 * M_PI * m * inv_k});
+      Complex s = own.rate * (1.0 - 1e-3 * omega);
+      for (int step = 0; step < 3; ++step) {
+        Complex rest = s + lambda;
+        for (const auto& grp : groups) {
+          for (const auto& [w, k] : grp.members) {
+            if (&grp != &own || k != own.k_max) {
+              rest -= lambda * w * ipow(grp.rate / (grp.rate - s), k);
+            }
+          }
+        }
+        const Complex next =
+            own.rate * (1.0 - omega * std::pow(top * lambda / rest, inv_k));
+        if (!finite(next)) break;
+        s = next;
+      }
+      seeds.push_back(s);
+    }
+  }
+  return seeds;
+}
+
+[[noreturn]] void fail(err::SolverErrorCode code, const std::string& what) {
+  err::SolverError e{code, "queueing.mg1_erlang: " + what};
+  err::record_failure(e);
+  throw err::SolverFailure(std::move(e));
+}
+
 }  // namespace
 
 int MG1ErlangMixService::total_order() const {
@@ -148,152 +218,133 @@ int MG1ErlangMixService::total_order() const {
 }
 
 ErlangMixMgf MG1ErlangMixService::full_mgf() const {
-  using math::Poly;
   const obs::ScopedSolverContext obs_ctx("queueing.mg1_erlang");
   FPSQ_SPAN("mg1_erlang.full_mgf");
-  // Work in time-scaled units z = s / sigma with sigma the geometric mean
-  // of the component rates: this keeps the expanded polynomial's
-  // coefficient dynamic range manageable. Poles scale back by sigma; the
-  // (dimensionless) residue coefficients transfer unchanged.
-  double log_sigma = 0.0;
-  for (const auto& c : components_) {
-    log_sigma += std::log(c.rate) / static_cast<double>(components_.size());
-  }
-  const double sigma = std::exp(log_sigma);
-  const double lam = lambda_ / sigma;
-  std::vector<Component> scaled = components_;
-  for (auto& c : scaled) c.rate /= sigma;
+  const auto groups = group_by_rate(components_);
+  const auto g = [this, &groups](Complex s) {
+    return evaluate_g(lambda_, groups, s);
+  };
+  std::vector<Complex> z = seed_poles(lambda_, groups);
+  const std::size_t n = z.size();
 
-  // Reduced rational form over the least common denominator: with rate
-  // groups g (shared denominator (r_g - z)^{Kg}, Kg = max k in group),
-  //   D(z) = prod_g (r_g - z)^{Kg},
-  //   N(z) = sum over components i in group g of
-  //          w_i r^{k_i} (r - z)^{Kg - k_i} prod_{g' != g} (r_g' - z)^{Kg'},
-  //   g(z) = z - lam (B(z) - 1) = [z D - lam (N - D)] / D =: Q/D.
-  // Q(0) = 0; the remaining roots of Q are the poles of W. Building over
-  // the LCD (instead of the naive product of all component denominators)
-  // keeps the form in lowest terms, so no spurious cancelling roots
-  // appear when servers share rates.
-  const auto groups = group_by_rate(scaled);
-  Poly big_d = {Complex{1.0, 0.0}};
-  for (const auto& g : groups) {
-    const Poly factor = {Complex{g.rate, 0.0}, Complex{-1.0, 0.0}};
-    for (int i = 0; i < g.k_max; ++i) {
-      big_d = math::poly_mul(big_d, factor);
-    }
-  }
-  Poly big_n = {Complex{0.0, 0.0}};
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    const auto& g = groups[gi];
-    // Cofactor over the other groups.
-    Poly cofactor = {Complex{1.0, 0.0}};
-    for (std::size_t gj = 0; gj < groups.size(); ++gj) {
-      if (gj == gi) continue;
-      const Poly factor = {Complex{groups[gj].rate, 0.0},
-                           Complex{-1.0, 0.0}};
-      for (int i = 0; i < groups[gj].k_max; ++i) {
-        cofactor = math::poly_mul(cofactor, factor);
+  // Aberth-Ehrlich (Gauss-Seidel) on P(s) = g(s) prod_g (r_g - s)^{K_g}
+  // / s, the degree-n polynomial whose roots are the poles, with
+  // P'/P = g'/g + sum_g K_g/(s - r_g) - 1/s from the factored form:
+  // z_k -= 1 / (P'/P(z_k) - sum_{j != k} 1/(z_k - z_j)). A pole is done
+  // once g(z_k) is at its rounding floor or the step below 4 ulps.
+  std::vector<char> done(n, 0);
+  int sweeps = 0;
+  bool converged = false;
+  while (!converged && sweeps < kMaxSweeps) {
+    ++sweeps;
+    converged = true;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (done[k] != 0) continue;
+      const GValue v = g(z[k]);
+      if (std::abs(v.g) <= v.floor) {
+        done[k] = 1;
+        continue;
+      }
+      converged = false;
+      Complex ratio = v.dg / v.g - 1.0 / z[k];
+      for (const auto& grp : groups) {
+        ratio += static_cast<double>(grp.k_max) / (z[k] - grp.rate);
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j != k) ratio -= 1.0 / (z[k] - z[j]);
+      }
+      const Complex step = 1.0 / ratio;
+      if (!finite(step)) continue;
+      z[k] -= step;
+      if (std::abs(step) <=
+          4.0 * std::numeric_limits<double>::epsilon() * std::abs(z[k])) {
+        done[k] = 1;
       }
     }
-    const Poly own_factor = {Complex{g.rate, 0.0}, Complex{-1.0, 0.0}};
-    for (const auto& [weight, k] : g.members) {
-      Poly term = {Complex{
-          weight * std::pow(g.rate, static_cast<double>(k)), 0.0}};
-      for (int i = 0; i < g.k_max - k; ++i) {
-        term = math::poly_mul(term, own_factor);
-      }
-      big_n = math::poly_add(big_n, math::poly_mul(term, cofactor));
-    }
   }
-  // Q = z D + lam D - lam N.
-  Poly s_d(big_d.size() + 1, Complex{0.0, 0.0});
-  for (std::size_t i = 0; i < big_d.size(); ++i) s_d[i + 1] = big_d[i];
-  Poly q = math::poly_add(
-      s_d, math::poly_add(math::poly_scale(big_d, Complex{lam, 0.0}),
-                          math::poly_scale(big_n, Complex{-lam, 0.0})));
-  // Divide out the root at z = 0.
-  if (std::abs(q.front()) > 1e-6 * std::abs(q.back())) {
-    throw std::runtime_error("MG1ErlangMixService::full_mgf: Q(0) != 0");
+  obs::record_solver_call("aberth", sweeps, converged);
+  if (!converged) {
+    fail(err::SolverErrorCode::kNonConvergence,
+         "Aberth sweeps did not converge within " +
+             std::to_string(kMaxSweeps));
   }
-  Poly qs(q.begin() + 1, q.end());
-  qs = math::poly_trim(qs, 1e-14 * std::abs(qs.back()));
 
-  // Localize in scaled units, rescale, then polish against the stable
-  // factored g in original units.
-  auto roots = math::durand_kerner(qs, 1e-12, 5000);
-  for (auto& r : roots) r *= sigma;
-  auto b_of = [this](Complex s) {
-    Complex acc{0.0, 0.0};
-    for (const auto& c : components_) {
-      acc += c.weight * std::pow(Complex{c.rate, 0.0} /
-                                     (Complex{c.rate, 0.0} - s),
-                                 c.k);
+  // Newton polish on g, down to its rounding floor.
+  for (auto& root : z) {
+    for (int it = 0; it < 3; ++it) {
+      const GValue v = g(root);
+      if (!(std::abs(v.g) > v.floor)) break;
+      root -= v.g / v.dg;
     }
-    return acc;
-  };
-  auto g = [this, &b_of](Complex s) {
-    return s - lambda_ * (b_of(s) - Complex{1.0, 0.0});
-  };
-  auto gp = [this](Complex s) {
-    Complex acc{1.0, 0.0};
-    for (const auto& c : components_) {
-      const double k = static_cast<double>(c.k);
-      acc -= lambda_ * c.weight * k / c.rate *
-             std::pow(Complex{c.rate, 0.0} / (Complex{c.rate, 0.0} - s),
-                      k + 1.0);
-    }
-    return acc;
-  };
-  for (auto& root : roots) {
-    for (int it = 0; it < 60; ++it) {
-      const Complex val = g(root);
-      if (std::abs(val) < 1e-13 * (1.0 + std::abs(root))) break;
-      const Complex deriv = gp(root);
-      if (std::abs(deriv) == 0.0) break;
-      root -= val / deriv;
-    }
-    if (!(root.real() > 0.0)) {
-      throw std::runtime_error(
-          "MG1ErlangMixService::full_mgf: pole with Re <= 0 after polish");
+    if (!finite(root) || !(root.real() > 0.0)) {
+      fail(err::SolverErrorCode::kIllConditioned, "pole with Re <= 0");
     }
   }
-  // Pairwise-distinct check (confluent poles need a different expansion).
-  double min_rel_sep = 1.0;
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    for (std::size_t j = i + 1; j < roots.size(); ++j) {
-      const double scale =
-          std::max(std::abs(roots[i]), std::abs(roots[j]));
-      min_rel_sep =
-          std::min(min_rel_sep, std::abs(roots[i] - roots[j]) / scale);
-      if (std::abs(roots[i] - roots[j]) < 1e-7 * scale) {
-        obs::record_pole_diagnostics("queueing.mg1_erlang", min_rel_sep);
-        throw std::runtime_error(
-            "MG1ErlangMixService::full_mgf: confluent poles");
-      }
+  double min_sep2 = 1.0;  // squared relative separation
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      min_sep2 = std::min(min_sep2, std::norm(z[i] - z[j]) /
+                                        std::max(std::norm(z[i]),
+                                                 std::norm(z[j])));
     }
   }
+  const double min_rel_sep = std::sqrt(min_sep2);
   obs::record_pole_diagnostics("queueing.mg1_erlang", min_rel_sep);
+  if (min_rel_sep < kPoleClash) {
+    fail(err::SolverErrorCode::kPoleClash, "confluent poles");
+  }
+  // g is real on the real axis, so its roots are real or conjugate
+  // pairs; make that exact (TailKernel folds each pair into one real
+  // term). The mate of a root is the root nearest its mirror image: a
+  // root that is its own mate is real; other mates must be mutual and
+  // on opposite sides of the axis.
+  const std::vector<Complex> found = z;
+  const auto mate = [&found](std::size_t k) {
+    std::size_t best = k;
+    for (std::size_t j = 0; j < found.size(); ++j) {
+      if (std::norm(found[j] - std::conj(found[k])) <
+          std::norm(found[best] - std::conj(found[k]))) {
+        best = j;
+      }
+    }
+    return best;
+  };
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t j = mate(k);
+    if (j == k) {
+      z[k].imag(0.0);
+    } else if (mate(j) != k || found[k].imag() * found[j].imag() >= 0.0) {
+      fail(err::SolverErrorCode::kIllConditioned, "unpaired complex pole");
+    } else if (found[k].imag() > 0.0) {
+      z[j] = std::conj(found[k]);
+    }
+  }
 
-  // Residues from the factored form: W = (1-rho) s / g(s);
-  // term coefficient c_j = -Res_j / alpha_j = -(1-rho)/g'(alpha_j).
+  // Residues from the factored form: W = (1-rho) s / g(s); term
+  // coefficient c_j = -Res_j / alpha_j = -(1-rho)/g'(alpha_j). The atom
+  // W(inf) = 1 - rho is what is left of W(0) = 1 once every pole's
+  // residue is in: a missing or spurious pole shows there.
   std::vector<ErlangMixMgf::PoleTerm> terms;
-  terms.reserve(roots.size());
-  Complex coeff_sum{0.0, 0.0};
-  for (const auto& alpha : roots) {
-    const Complex c = -(1.0 - rho_) / gp(alpha);
-    coeff_sum += c;
+  terms.reserve(n);
+  double coeff_sum = 0.0;
+  for (const auto& alpha : z) {
+    const Complex c = -(1.0 - rho_) / g(alpha).dg;
+    coeff_sum += c.real();
     terms.push_back({alpha, c});
   }
-  const double atom = 1.0 - coeff_sum.real();
+  const double atom = 1.0 - coeff_sum;
+  if (!(std::abs(atom - (1.0 - rho_)) <= kAtomTol)) {
+    fail(err::SolverErrorCode::kIllConditioned,
+         "atom " + std::to_string(atom) + " != 1 - rho");
+  }
   ErlangMixMgf out{atom, std::move(terms)};
   // Self-check against the factored transform at a probe point.
   const double probe = -0.5 * min_rate_;
   const double direct =
-      ((1.0 - rho_) * probe / g(Complex{probe, 0.0})).real();
-  if (std::abs(out.value_real(probe) - direct) >
-      1e-6 * (1.0 + std::abs(direct))) {
-    throw std::runtime_error(
-        "MG1ErlangMixService::full_mgf: verification failed");
+      ((1.0 - rho_) * probe / g(Complex{probe, 0.0}).g).real();
+  if (!(std::abs(out.value_real(probe) - direct) <=
+        1e-6 * (1.0 + std::abs(direct)))) {
+    fail(err::SolverErrorCode::kIllConditioned, "probe-point check failed");
   }
   return out;
 }

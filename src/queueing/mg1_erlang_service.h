@@ -8,9 +8,8 @@
 //
 // Provided: exact load and Pollaczek-Khinchine mean, the dominant pole
 // gamma (unique positive root of s = lambda (B(s) - 1) below the smallest
-// Erlang rate), and the two single-pole MGF forms used throughout this
-// library (the paper's eq.-14 style with atom 1 - rho, and the exact
-// asymptotic-residue variant).
+// Erlang rate, by a real-axis root solve), and the exact all-pole
+// waiting-time MGF.
 #pragma once
 
 #include <vector>
@@ -43,27 +42,22 @@ class MG1ErlangMixService {
   /// Service-time MGF B(s) (real s below the smallest component rate).
   [[nodiscard]] double service_mgf(double s) const;
 
-  /// Dominant pole of the waiting-time MGF.
+  /// Dominant pole of the waiting-time MGF (Brent on the real axis).
   [[nodiscard]] double dominant_pole() const;
 
-  /// Eq.-14 style approximation: (1 - rho) + rho gamma/(gamma - s).
-  [[nodiscard]] ErlangMixMgf paper_mgf() const;
-
-  /// Single pole with the exact asymptotic residue.
-  [[nodiscard]] ErlangMixMgf asymptotic_mgf() const;
-
-  /// The *exact* waiting-time MGF: all sum(K_i) poles of
-  /// W(s) = (1 - rho) s / (s - lambda (B(s) - 1)) with their residues.
-  /// Poles are localized with Durand-Kerner on the expanded rational
-  /// denominator, then polished with Newton on the stable factored form;
-  /// residues come from the factored form only. Practical up to
-  /// sum(K_i) of a few tens (the polynomial localization degrades for
-  /// very high degrees).
-  /// @throws std::runtime_error if localization fails or poles are
-  ///         (numerically) confluent
+  /// The exact waiting-time MGF: all total_order() poles of
+  /// W(s) = (1 - rho) s / (s - lambda (B(s) - 1)) with their residues
+  /// and the atom P(W = 0) = 1 - rho. The poles are found together by
+  /// Aberth-Ehrlich sweeps on the factored transform, seeded per rate
+  /// group by eq. 26's fixed point (docs/THEORY.md §5), at any order.
+  /// @throws err::SolverFailure — kNonConvergence when the sweeps hit
+  ///         their cap, kPoleClash when two poles lie within 1e-7
+  ///         relative of each other, kIllConditioned when the pole set
+  ///         fails its completeness checks (atom, probe point)
   [[nodiscard]] ErlangMixMgf full_mgf() const;
 
-  /// Total Erlang order sum(K_i) — the exact pole count of full_mgf().
+  /// Total Erlang order sum(K_i) over distinct rates — the exact pole
+  /// count of full_mgf().
   [[nodiscard]] int total_order() const;
 
   [[nodiscard]] const std::vector<Component>& components() const noexcept {

@@ -137,7 +137,8 @@ namespace {
 
 // Self-pipe drain signalling: the SIGTERM/SIGINT handler writes one byte
 // to a pipe the loop poll()s alongside its inputs, so a loop blocked in
-// poll() wakes whichever thread the signal was delivered to.
+// poll() wakes. The pool workers and the timeline sampler block both
+// signals, so the handler runs on the loop's own thread.
 std::atomic<int> g_stop_pipe_wr{-1};
 
 void drain_signal_handler(int) {

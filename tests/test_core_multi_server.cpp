@@ -1,10 +1,13 @@
 #include "core/multi_server.h"
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "dist/erlang.h"
+#include "err/error.h"
 #include "obs/metrics.h"
 #include "queueing/giek1.h"
 #include "queueing/lindley.h"
@@ -99,44 +102,101 @@ TEST(MultiServer, MoreServersAtFixedLoadSmoothsPerServerBursts) {
             one.packet_delay_quantile_ms(1e-4));
 }
 
-TEST(MultiServer, ExactAndAsymptoticWaitFormsAgreeInTheTail) {
+TEST(MultiServer, WaitTransformHasTheRealDominantPole) {
   const std::vector<GameServerSpec> servers = {{40.0, 9, 5000.0},
                                                {60.0, 5, 4000.0}};
   const MultiServerDownstreamModel m{servers, 10e6};
-  // The exact form is the one in use here (total order 14).
-  EXPECT_TRUE(m.exact_wait());
   const queueing::MG1ErlangMixService& q = m.queue();
-  const double exact = q.full_mgf().quantile(1e-6);
-  EXPECT_DOUBLE_EQ(m.burst_wait_quantile_ms(1e-6), exact * 1e3);
-  // Deep quantiles converge (same dominant pole).
-  EXPECT_NEAR(exact / q.asymptotic_mgf().quantile(1e-6), 1.0, 0.05);
+  const auto wait = q.full_mgf();
+  EXPECT_DOUBLE_EQ(m.burst_wait_quantile_ms(1e-6), wait.quantile(1e-6) * 1e3);
+  // The slowest pole of the all-pole form is the real root that the
+  // independent Brent solve finds.
+  EXPECT_EQ(wait.dominant_pole().imag(), 0.0);
+  EXPECT_NEAR(wait.dominant_pole().real(), q.dominant_pole(),
+              1e-10 * q.dominant_pole());
 }
 
 TEST(MultiServer, IdenticalServersReduceTheTransformOrder) {
   // 10 identical servers share one Erlang rate: the reduced transform
-  // has only K = 9 poles, so the exact form stays cheap and usable.
+  // has only K = 9 poles.
   std::vector<GameServerSpec> servers(10, GameServerSpec{40.0, 9, 1000.0});
   const MultiServerDownstreamModel m{servers, 20e6};
-  EXPECT_TRUE(m.exact_wait());
+  EXPECT_EQ(m.queue().full_mgf().terms().size(), 9u);
   EXPECT_GT(m.packet_delay_quantile_ms(1e-4), 0.0);
 }
 
-TEST(MultiServer, AutoFallsBackAtHighTotalOrder) {
+/// The wait transform is complete: total_order() poles, the atom
+/// P(W = 0) = 1 - rho, and the Pollaczek-Khinchine mean.
+void expect_complete_wait(const MultiServerDownstreamModel& m,
+                          const std::string& where) {
+  const queueing::MG1ErlangMixService& q = m.queue();
+  const auto wait = q.full_mgf();
+  EXPECT_EQ(wait.terms().size(), static_cast<std::size_t>(q.total_order()))
+      << where;
+  EXPECT_NEAR(wait.constant_term(), 1.0 - q.rho(), 1e-11) << where;
+  EXPECT_NEAR(wait.mean(), q.mean_wait(), 1e-11 * q.mean_wait()) << where;
+}
+
+TEST(MultiServer, HighTotalOrderIsExact) {
   // Heterogeneous burst sizes -> distinct rates -> order 9 * 10 = 90.
   std::vector<GameServerSpec> servers;
   for (int i = 0; i < 10; ++i) {
     servers.push_back({40.0, 9, 900.0 + 50.0 * i});
   }
   const MultiServerDownstreamModel m{servers, 20e6};
-  EXPECT_FALSE(m.exact_wait());
+  EXPECT_EQ(m.queue().total_order(), 90);
+  expect_complete_wait(m, "ten servers");
   EXPECT_GT(m.packet_delay_quantile_ms(1e-4), 0.0);
 }
 
+TEST(MultiServer, ExactAtEveryOrder) {
+  // One server (K, 5000 B) for K up to 64, and two servers (K, 5000 B) +
+  // (K+1, 4000 B), with T = 40 ms and C set for the load.
+  const auto capacity_for = [](const std::vector<GameServerSpec>& servers,
+                               double rho) {
+    double bps = 0.0;
+    for (const auto& s : servers) {
+      bps += 8.0 * s.mean_burst_bytes / (s.tick_ms * 1e-3);
+    }
+    return bps / rho;
+  };
+  std::vector<std::pair<std::vector<GameServerSpec>, double>> cases;
+  for (int k : {32, 40, 48, 64}) {
+    for (double rho : {0.02, 0.05, 0.1, 0.2, 0.5, 0.8}) {
+      cases.push_back({{{40.0, k, 5000.0}}, rho});
+    }
+  }
+  for (int k : {9, 16, 20, 24}) {
+    for (double rho : {0.1, 0.3, 0.6}) {
+      cases.push_back({{{40.0, k, 5000.0}, {40.0, k + 1, 4000.0}}, rho});
+    }
+  }
+  ASSERT_EQ(cases.size(), 36u);
+  for (const auto& [servers, rho] : cases) {
+    const std::string where = "K=" + std::to_string(servers[0].erlang_k) +
+                              " servers=" + std::to_string(servers.size()) +
+                              " rho=" + std::to_string(rho);
+    const MultiServerDownstreamModel m{servers, capacity_for(servers, rho)};
+    EXPECT_NEAR(m.rho(), rho, 1e-12) << where;
+    expect_complete_wait(m, where);
+  }
+}
+
+TEST(MultiServer, NearlyEqualRatesArePoleClash) {
+  // Two servers whose Erlang rates differ by 1e-9 relative.
+  try {
+    const MultiServerDownstreamModel m{
+        {{40.0, 9, 5000.0}, {40.0, 9, 5000.0 * (1.0 + 1e-9)}}, 10e6};
+    ADD_FAILURE() << "model built on confluent poles";
+  } catch (const err::SolverFailure& e) {
+    EXPECT_EQ(e.error().code, err::SolverErrorCode::kPoleClash) << e.what();
+  }
+}
+
 TEST(MultiServer, HeterogeneousPoleSearchStopsAtTheRoundingFloor) {
-  // One big and four small K = 9 servers: an order-18 pole polynomial
-  // with roots spread over |z| in [0.04, 2.3] under a Cauchy radius of
-  // ~4e3. Durand-Kerner's moves never fall below ~1e-11 there; the
-  // iteration must end at the Horner rounding floor, not at its cap.
+  // One big and four small K = 9 servers: two rate groups, 18 poles.
+  // The Aberth sweeps must end at the rounding floor of g, well before
+  // their cap.
   auto& reg = obs::MetricsRegistry::global();
   reg.reset();
   const double c = 20e6;
@@ -146,12 +206,15 @@ TEST(MultiServer, HeterogeneousPoleSearchStopsAtTheRoundingFloor) {
   const MultiServerDownstreamModel model{servers, c};
   EXPECT_NEAR(model.packet_delay_quantile_ms(1e-5), 95.83894021, 1e-6);
 #ifndef FPSQ_NO_METRICS
+  bool seen = false;
   for (const auto& h : reg.snapshot().histograms) {
-    if (h.name == "queueing.mg1_erlang.durand_kerner.iterations") {
+    if (h.name == "queueing.mg1_erlang.aberth.iterations") {
+      seen = true;
       EXPECT_EQ(h.count, 1u);
-      EXPECT_LT(h.max, 500.0);
+      EXPECT_LT(h.max, 20.0);
     }
   }
+  EXPECT_TRUE(seen);
 #endif
 }
 

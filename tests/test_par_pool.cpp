@@ -2,13 +2,18 @@
 // nesting, and the global-pool plumbing.
 #include "par/thread_pool.h"
 
+#include <pthread.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <csignal>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace par = fpsq::par;
@@ -122,6 +127,32 @@ TEST(ThreadPool, GlobalPoolReconfigures) {
   EXPECT_EQ(par::global_thread_count(), 3u);
   par::set_global_thread_count(1);
   EXPECT_EQ(par::global_thread_count(), 1u);
+}
+
+TEST(ThreadPool, WorkersBlockStopSignals) {
+  // SIGTERM / SIGINT must reach the thread that runs the process's loop
+  // (fpsq serve's drain), so every worker blocks them; the caller's own
+  // mask is left alone.
+  const auto blocked = [](int sig) {
+    sigset_t mask;
+    pthread_sigmask(SIG_BLOCK, nullptr, &mask);
+    return sigismember(&mask, sig) == 1;
+  };
+  ASSERT_FALSE(blocked(SIGTERM));
+  par::ThreadPool pool{4};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_workers{0};
+  std::atomic<int> unblocked{0};
+  pool.parallel_for_chunks(32, 1, [&](std::size_t, std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (std::this_thread::get_id() == caller) return;
+    ++on_workers;
+    if (!blocked(SIGTERM) || !blocked(SIGINT)) ++unblocked;
+  });
+  EXPECT_GT(on_workers.load(), 0);
+  EXPECT_EQ(unblocked.load(), 0);
+  EXPECT_FALSE(blocked(SIGTERM));
+  EXPECT_FALSE(blocked(SIGINT));
 }
 
 TEST(ThreadPool, ZeroIterationsIsANoop) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "dist/erlang.h"
+#include "queueing/giek1.h"
 #include "queueing/lindley.h"
 #include "queueing/mg1.h"
 
@@ -20,11 +21,11 @@ TEST(MG1ErlangMix, SingleExponentialComponentIsMM1) {
   EXPECT_NEAR(q.rho(), 0.6, 1e-12);
   EXPECT_NEAR(q.mean_wait(), lambda / (mu * (mu - lambda)), 1e-12);
   EXPECT_NEAR(q.dominant_pole(), mu - lambda, 1e-9);
-  // For M/M/1 eq.-14 and the asymptotic form coincide (residue = rho).
-  const auto paper = q.paper_mgf();
-  const auto asym = q.asymptotic_mgf();
-  EXPECT_NEAR(paper.tail(2.0), asym.tail(2.0), 1e-9);
-  EXPECT_NEAR(paper.tail(2.0), 0.6 * std::exp(-0.4 * 2.0), 1e-9);
+  // The exact tail is rho e^{-(mu - lambda) x}.
+  const auto full = q.full_mgf();
+  for (double x : {0.5, 2.0, 8.0}) {
+    EXPECT_NEAR(full.tail(x), 0.6 * std::exp(-0.4 * x), 1e-12) << "x=" << x;
+  }
 }
 
 TEST(MG1ErlangMix, MomentsOfMixture) {
@@ -61,10 +62,10 @@ TEST(MG1ErlangMix, MatchesLindleyMonteCarlo) {
       opt);
   EXPECT_NEAR(q.mean_wait(), mc.mean_wait, 0.05 * mc.mean_wait);
   EXPECT_NEAR(1.0 - q.rho(), mc.p_wait_zero, 0.02);
-  // Asymptotic tail vs simulated tail in the moderate range.
-  const auto asym = q.asymptotic_mgf();
+  // Exact tail vs simulated tail in the moderate range.
+  const auto full = q.full_mgf();
   for (double x : {2.0, 4.0}) {
-    EXPECT_NEAR(asym.tail(x), mc.waits.tdf(x),
+    EXPECT_NEAR(full.tail(x), mc.waits.tdf(x),
                 0.25 * mc.waits.tdf(x) + 5e-4)
         << "x=" << x;
   }
@@ -107,11 +108,10 @@ TEST(MG1ErlangMix, FullMgfHasTotalOrderPolesAndUnitMass) {
   EXPECT_NEAR(full.dominant_pole().real(), q.dominant_pole(), 1e-8);
 }
 
-TEST(MG1ErlangMix, FullMgfBeatsAsymptoticNearTheOrigin) {
-  // M/E4/1: exact tail at small x where the one-pole form is biased.
+TEST(MG1ErlangMix, FullMgfMatchesMonteCarloNearTheOrigin) {
+  // M/E4/1: exact tail at small x, where a one-pole form is biased.
   const MG1ErlangMixService q{0.7, {{1.0, 4, 4.0}}};
   const auto full = q.full_mgf();
-  const auto asym = q.asymptotic_mgf();
   LindleyOptions opt;
   opt.samples = 600000;
   opt.seed = 999;
@@ -120,11 +120,6 @@ TEST(MG1ErlangMix, FullMgfBeatsAsymptoticNearTheOrigin) {
       [](dist::Rng& rng) { return rng.exponential(0.7); },
       [&service](dist::Rng& rng) { return service.sample(rng); }, opt);
   for (double x : {0.2, 0.5, 1.0, 3.0}) {
-    const double exact_err =
-        std::abs(full.tail(x) - mc.waits.tdf(x));
-    const double asym_err =
-        std::abs(asym.tail(x) - mc.waits.tdf(x));
-    EXPECT_LE(exact_err, asym_err + 0.01) << "x=" << x;
     EXPECT_NEAR(full.tail(x), mc.waits.tdf(x),
                 0.03 * mc.waits.tdf(x) + 2e-3)
         << "x=" << x;
@@ -140,6 +135,28 @@ TEST(MG1ErlangMix, FullMgfTailMonotoneAndPositive) {
     EXPECT_GE(t, -1e-9) << "x=" << x;
     EXPECT_LE(t, prev + 1e-9) << "x=" << x;
     prev = t;
+  }
+}
+
+TEST(MG1ErlangMix, FullMgfMatchesGiEk1OnPoissonArrivals) {
+  // M/E_K/1 two ways: the all-pole search here and the zeta roots of
+  // GiEk1Solver on exponential interarrival times, to a high order.
+  const double b = 0.8;
+  for (int k : {3, 20, 64, 128}) {
+    for (double rho : {0.05, 0.5, 0.95}) {
+      const double lambda = rho / b;
+      const MG1ErlangMixService q{lambda, {{1.0, k, k / b}}};
+      const auto full = q.full_mgf();
+      ASSERT_EQ(full.terms().size(), static_cast<std::size_t>(k));
+      const GiEk1Solver ref{k, b, gamma_arrivals(1.0, lambda)};
+      EXPECT_NEAR(full.constant_term(), ref.p_wait_zero(), 1e-9)
+          << "k=" << k << " rho=" << rho;
+      for (double eps : {1e-3, 1e-8}) {
+        const double want = ref.wait_quantile(eps);
+        EXPECT_NEAR(full.quantile(eps), want, 1e-8 * want)
+            << "k=" << k << " rho=" << rho << " eps=" << eps;
+      }
+    }
   }
 }
 

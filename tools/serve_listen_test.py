@@ -15,11 +15,12 @@ and checks, in order:
       per served connection grows it without bound);
   (c) SIGTERM with an idle connection open drains: the server exits 0,
       and every request line it read was answered and delivered;
-  (d) on a second server (--threads 1, so the signal handler runs on
-      the loop's thread), a line sent while the server is stopped, and
-      so still unread when the drain begins, is answered `shed` after
-      the connection's earlier answer, and the connection then ends
-      with a clean EOF instead of a reset.
+  (d) on a fresh server, once with --threads 1 and once with
+      --threads 2 (pool workers block SIGTERM, so the signal handler
+      runs on the loop's thread either way), a line sent while the
+      server is stopped, and so still unread when the drain begins, is
+      answered `shed` after the connection's earlier answer, and the
+      connection then ends with a clean EOF instead of a reset.
 """
 
 import json
@@ -266,8 +267,9 @@ def main():
             lambda proc, port: check_sequential_connections(port, proc.pid),
             check_sigterm_drain,
         ])
-        run(sys.argv[1], os.path.join(tmp, "m1.json"), 1,
-            [check_unread_input_drain])
+        for threads in (1, THREADS):
+            run(sys.argv[1], os.path.join(tmp, f"m{threads}.json"),
+                threads, [check_unread_input_drain])
     print("PASS: split connections, sequential connections, SIGTERM drain, "
           "unread input shed at drain")
     return 0
