@@ -1,5 +1,6 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -36,14 +37,17 @@ std::string escape(std::string_view s) {
   return out;
 }
 
-void number_to(std::string& out, double v) {
+void number_to(std::string& out, double v, int precision) {
   if (!std::isfinite(v)) {
     out += "null";
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  // "-d.dddddddddddddddde-308" is 24 characters at precision 17.
+  char buf[32];
+  const auto res =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                    std::clamp(precision, 1, 17));
+  out.append(buf, res.ptr);
 }
 
 const Value* Value::find(std::string_view key) const {

@@ -24,9 +24,11 @@ void escape_to(std::string& out, std::string_view s);
 /// Returns `s` JSON-escaped (without surrounding quotes).
 [[nodiscard]] std::string escape(std::string_view s);
 
-/// Appends a JSON number; NaN and infinities become `null` (they are
-/// not representable in JSON).
-void number_to(std::string& out, double v);
+/// Appends `v` as a JSON number with `precision` significant digits
+/// (clamped to 1..17), byte for byte what printf's "%.{precision}g"
+/// prints; 17 round-trips exactly. NaN and infinities become `null`
+/// (they are not representable in JSON).
+void number_to(std::string& out, double v, int precision = 17);
 
 /// A parsed JSON value. Object member order is preserved.
 struct Value {

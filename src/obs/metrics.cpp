@@ -624,6 +624,8 @@ void ensure_baseline_schema() {
   (void)reg.counter("sim.replications");
   // Parallel runtime (fpsq::par).
   (void)reg.gauge("par.pool.threads");
+  (void)reg.gauge("par.pool.workers");
+  (void)reg.counter("par.pool.spawn_failures");
   (void)reg.counter("par.pool.tasks");
   (void)reg.counter("par.pool.regions");
   (void)reg.gauge("par.pool.queue_high_water");

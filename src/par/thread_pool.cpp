@@ -32,10 +32,25 @@ thread_local const void* tls_worker_pool = nullptr;
 struct ThreadPool::Impl {
   explicit Impl(unsigned threads) : thread_count(threads) {
     FPSQ_OBS_GAUGE_SET("par.pool.threads", static_cast<double>(threads));
-    // A 1-thread pool is pure inline execution: no workers, no queue.
-    for (unsigned i = 0; i + 1 < threads; ++i) {
-      workers.emplace_back([this] { worker_loop(); });
+    FPSQ_OBS_GAUGE_SET("par.pool.workers", 0.0);
+  }
+
+  /// Starts the thread_count - 1 workers; called once, by the first
+  /// region that queues more than one chunk. A spawn that fails (EAGAIN
+  /// at a pid or memory limit) keeps the workers already started: the
+  /// caller drains every region it opens, so fewer workers only means
+  /// less parallelism, never a different answer.
+  void spawn_workers() {
+    for (unsigned i = 0; i + 1 < thread_count; ++i) {
+      try {
+        workers.emplace_back([this] { worker_loop(); });
+      } catch (const std::exception&) {
+        FPSQ_OBS_COUNT("par.pool.spawn_failures");
+        break;
+      }
     }
+    FPSQ_OBS_GAUGE_SET("par.pool.workers",
+                       static_cast<double>(workers.size()));
   }
 
   ~Impl() {
@@ -102,12 +117,13 @@ struct ThreadPool::Impl {
   }
 
   unsigned thread_count;
-  std::vector<std::thread> workers;
   std::mutex mu;
   std::condition_variable cv;
   std::deque<std::function<void()>> queue;
   bool stopping = false;
   std::atomic<std::uint64_t> busy_ns{0};
+  std::once_flag spawned;
+  std::vector<std::thread> workers;
 };
 
 ThreadPool::ThreadPool(unsigned threads)
@@ -148,6 +164,7 @@ void ThreadPool::parallel_for_chunks(
     return;
   }
 
+  std::call_once(impl_->spawned, [this] { impl_->spawn_workers(); });
   FPSQ_OBS_COUNT("par.pool.regions");
 #ifndef FPSQ_NO_METRICS
   const auto region_start = std::chrono::steady_clock::now();
@@ -240,7 +257,9 @@ std::unique_ptr<ThreadPool> g_pool;
 unsigned default_thread_count() {
   if (const char* env = std::getenv("FPSQ_THREADS")) {
     const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
+    if (v > 0 && v <= static_cast<long>(kMaxThreads)) {
+      return static_cast<unsigned>(v);
+    }
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -12,8 +12,16 @@
 // state across adjacent indices *within* a chunk stays bit-identical
 // from --threads 1 to --threads 64.
 //
+// Workers are spawned on first use: ThreadPool(n) records n and starts
+// no thread; the first region with two or more chunks starts the n - 1
+// workers, once. A pool that never runs such a region (a 1-thread pool,
+// a process that only runs 1-chunk regions) never starts a thread.
+//
 // Observability: the pool publishes
 //     par.pool.threads            gauge     configured worker count
+//     par.pool.workers            gauge     workers actually started
+//     par.pool.spawn_failures     counter   worker spawns that threw
+//                                           (the region still completes)
 //     par.pool.tasks              counter   chunk tasks executed
 //     par.pool.regions            counter   parallel_for invocations
 //     par.pool.queue_high_water   gauge     max chunks ever outstanding
@@ -29,10 +37,14 @@
 
 namespace fpsq::par {
 
+/// The largest thread count `--threads` and FPSQ_THREADS accept.
+inline constexpr unsigned kMaxThreads = 1024;
+
 class ThreadPool {
  public:
   /// @param threads  worker count; 0 means default_thread_count().
   ///                 A pool of 1 runs everything inline on the caller.
+  ///                 Starts no thread (see the header comment).
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
@@ -90,19 +102,21 @@ class ThreadPool {
 /// while a parallel region is running on the global pool.
 void set_global_thread_count(unsigned n);
 
-/// Worker count of the global pool (constructs it if needed).
+/// Worker count of the global pool (constructs it if needed; starts no
+/// thread).
 [[nodiscard]] unsigned global_thread_count();
 
 /// The default worker count: the FPSQ_THREADS environment variable when
-/// set to a positive integer, otherwise std::thread::hardware_concurrency
-/// (at least 1).
+/// set to an integer in [1, kMaxThreads], otherwise
+/// std::thread::hardware_concurrency (at least 1).
 ///
 /// The zero rule, everywhere a thread count is configured: 0 always
 /// means "pick for me" (hardware concurrency), never a zero-worker
 /// pool. `FPSQ_THREADS=0`, `--threads 0` on any fpsq command (including
 /// `fpsq serve`) and ThreadPool{0} / set_global_thread_count(0) all
-/// resolve through this function; a non-numeric or negative FPSQ_THREADS
-/// likewise falls back to hardware concurrency.
+/// resolve through this function; a non-numeric, negative or
+/// above-kMaxThreads FPSQ_THREADS likewise falls back to hardware
+/// concurrency.
 [[nodiscard]] unsigned default_thread_count();
 
 }  // namespace fpsq::par

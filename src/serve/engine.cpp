@@ -46,7 +46,7 @@ void append_field(std::string& out, const char* key, double v,
   out += "\"";
   out += key;
   out += "\":";
-  append_number(out, v, precision);
+  obs::json::number_to(out, v, precision);
 }
 
 std::string rtt_fragment(const Request& req, int precision) {

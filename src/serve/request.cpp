@@ -1,9 +1,7 @@
 #include "serve/request.h"
 
 #include <cctype>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <string_view>
 
 #include "obs/json.h"
@@ -85,17 +83,16 @@ std::string id_field(const Value& root) {
   if (id == nullptr) return "";
   if (id->is_string()) return id->string;
   if (id->is_number()) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", id->number);
-    return buf;
+    std::string out;
+    obs::json::number_to(out, id->number);
+    return out;
   }
   fail("'id' must be a string or a number");
 }
 
 void append_key(std::string& key, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, ",%.17g", v);
-  key += buf;
+  key += ',';
+  obs::json::number_to(key, v);
 }
 
 }  // namespace
@@ -210,18 +207,6 @@ std::string error_response(const std::string& id, const std::string& code,
 std::string error_response(const std::string& id,
                            const err::SolverError& e) {
   return error_response(id, err::code_name(e.code), e.detail);
-}
-
-void append_number(std::string& out, double v, int precision) {
-  if (!std::isfinite(v)) {
-    out += "null";  // JSON has no NaN/inf
-    return;
-  }
-  if (precision < 1) precision = 1;
-  if (precision > 17) precision = 17;
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-  out += buf;
 }
 
 }  // namespace fpsq::serve

@@ -90,16 +90,12 @@ struct ParsedRequest {
 /// parse_request() after the JSON parse. Never throws.
 [[nodiscard]] ParsedRequest validate_request(const obs::json::Value& root);
 
-/// Response serialization helpers. `precision` is the significant-digit
-/// count for doubles (1..17; 17 round-trips exactly, smaller values give
-/// cross-platform-stable golden files).
+/// The error response line of request `id` (`"ok":false` with a code
+/// and a detail).
 [[nodiscard]] std::string error_response(const std::string& id,
                                          const std::string& code,
                                          const std::string& detail);
 [[nodiscard]] std::string error_response(const std::string& id,
                                          const err::SolverError& e);
-
-/// Appends `v` to `out` with %.{precision}g formatting (NaN/inf -> null).
-void append_number(std::string& out, double v, int precision);
 
 }  // namespace fpsq::serve

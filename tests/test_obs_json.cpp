@@ -3,10 +3,16 @@
 // `fpsq benchdiff` and the manifest/timeline round-trip tests.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/json.h"
 
@@ -29,12 +35,70 @@ TEST(ObsJson, NumberToSerializesNonFiniteAsNull) {
   std::string out;
   number_to(out, 1.5);
   EXPECT_EQ(out, "1.5");
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    for (int precision = 1; precision <= 17; ++precision) {
+      out.clear();
+      number_to(out, v, precision);
+      EXPECT_EQ(out, "null") << "precision " << precision;
+    }
+  }
+}
+
+// number_to is std::to_chars in the general format; its contract is the
+// bytes printf's "%.{p}g" prints, which every golden file was made with.
+// snprintf stays here as the oracle.
+TEST(ObsJson, NumberToMatchesPrintfAtEveryPrecision) {
+  std::vector<double> values = {0.0,     -0.0,    DBL_MAX, -DBL_MAX,
+                                DBL_MIN, -DBL_MIN, DBL_TRUE_MIN,
+                                -DBL_TRUE_MIN, DBL_MIN / 3.0, DBL_EPSILON,
+                                1.0,     -1.0,    0.1,     1e-5,
+                                1e-4,    1e15,    1e16,    1e17,
+                                123456789012345678.0, 9.5, 0.5,
+                                99999.5, 999999.5, 1e21, 5e-324};
+  std::mt19937_64 rng(20061022);
+  for (int i = 0; i < 20000; ++i) {  // raw bit patterns, all exponents
+    const std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  std::uniform_real_distribution<double> mantissa(1.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  for (int i = 0; i < 5000; ++i) {  // magnitudes responses print
+    values.push_back(mantissa(rng) * std::pow(10.0, exponent(rng)));
+  }
+  for (int k = -2000; k <= 2000; ++k) {  // short decimals, ties
+    values.push_back(k / 1000.0);
+    values.push_back(k * 0.05);
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    for (int precision = 1; precision <= 17; ++precision) {
+      char expected[64];
+      std::snprintf(expected, sizeof expected, "%.*g", precision, v);
+      std::string out;
+      number_to(out, v, precision);
+      if (out != expected && ++mismatches <= 10) {
+        ADD_FAILURE() << "precision " << precision << ": number_to wrote "
+                      << out << ", printf " << expected;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() * 17 << " numbers";
+  // The default precision is 17, which round-trips; out-of-range
+  // precisions are clamped to 1..17.
+  std::string out;
+  number_to(out, 0.1);
+  EXPECT_EQ(out, "0.10000000000000001");
   out.clear();
-  number_to(out, std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(out, "null");
+  number_to(out, 2.0 / 3.0, 0);
+  EXPECT_EQ(out, "0.7");
   out.clear();
-  number_to(out, std::numeric_limits<double>::infinity());
-  EXPECT_EQ(out, "null");
+  number_to(out, 2.0 / 3.0, 40);
+  EXPECT_EQ(out, "0.66666666666666663");
 }
 
 TEST(ObsJson, ParseScalars) {

@@ -207,15 +207,18 @@ class Args {
 };
 
 /// Applies the global execution flag shared by every command:
-///   --threads N   worker count; 0 = hardware concurrency, matching
-///                 FPSQ_THREADS=0 (default: FPSQ_THREADS env, else cores)
+///   --threads N   worker count in [0, par::kMaxThreads]; 0 = hardware
+///                 concurrency, matching FPSQ_THREADS=0 (default:
+///                 FPSQ_THREADS env, else cores)
 void apply_execution_flags(const Args& args) {
   if (args.has("threads")) {
     const long long t = args.integer("threads", 0);
     // The zero rule (see par/thread_pool.h): 0 means "pick for me" —
     // set_global_thread_count(0) resolves to default_thread_count(),
     // exactly as FPSQ_THREADS=0 does. It is never a zero-worker pool.
-    args.require(t >= 0, "threads", ">= 0 (0 = hardware concurrency)");
+    args.require(t >= 0 && t <= par::kMaxThreads, "threads",
+                 "an integer in [0, " + std::to_string(par::kMaxThreads) +
+                     "] (0 = hardware concurrency)");
     par::set_global_thread_count(static_cast<unsigned>(t));
   }
   // Record the run configuration in the manifest every exported
@@ -912,10 +915,10 @@ const char* usage_text(const std::string& topic) {
          "  --jitter 0     server tick CoV (0 = paper's Det ticks;\n"
          "                 > 0 uses the exact GI/E_K/1 model)\n\n"
          "execution flags (every command):\n"
-         "  --threads N          worker threads for sweeps/grids/reps;\n"
-         "                       0 = hardware concurrency (same rule as\n"
-         "                       FPSQ_THREADS=0; default: FPSQ_THREADS\n"
-         "                       env, else cores)\n\n"
+         "  --threads N          worker threads for sweeps/grids/reps,\n"
+         "                       at most 1024; 0 = hardware concurrency\n"
+         "                       (same rule as FPSQ_THREADS=0; default:\n"
+         "                       FPSQ_THREADS env, else cores)\n\n"
          "observability flags (every command):\n"
          "  --metrics-out FILE   write solver/simulator metrics JSON\n"
          "  --trace-out FILE     record spans, write Chrome trace JSON\n"
