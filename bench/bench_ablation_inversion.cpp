@@ -6,6 +6,7 @@
 
 #include "bench_util.h"
 #include "core/rtt_model.h"
+#include "reference/rtt_approximations.h"
 
 namespace {
 

@@ -7,7 +7,7 @@
 
 #include "bench_util.h"
 #include "queueing/mg1.h"
-#include "queueing/ndd1.h"
+#include "reference/ndd1.h"
 
 int main() {
   using namespace fpsq;

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/validation.h"
+#include "reference/validation.h"
 
 int main() {
   using namespace fpsq;

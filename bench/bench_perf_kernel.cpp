@@ -31,11 +31,11 @@
 #include "core/dimensioning.h"
 #include "obs/metrics.h"
 #include "par/thread_pool.h"
-#include "queueing/convolution.h"
 #include "queueing/giek1.h"
 #include "queueing/position_delay.h"
 #include "queueing/solver_cache.h"
 #include "queueing/tail_kernel.h"
+#include "reference/convolution.h"
 
 namespace {
 

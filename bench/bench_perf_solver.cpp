@@ -6,12 +6,12 @@
 #include <vector>
 
 #include "core/rtt_model.h"
-#include "queueing/convolution.h"
 #include "queueing/giek1.h"
 #include "queueing/mg1.h"
 #include "queueing/mg1_erlang_service.h"
 #include "queueing/position_delay.h"
 #include "queueing/solver_cache.h"
+#include "reference/convolution.h"
 
 namespace {
 

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/validation.h"
+#include "reference/validation.h"
 
 int main(int argc, char** argv) {
   using namespace fpsq::core;

@@ -10,14 +10,14 @@
 #include "core/mixed_population.h"
 #include "core/rtt_model.h"
 #include "core/sweep.h"
-#include "core/validation.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "par/thread_pool.h"
-#include "queueing/convolution.h"
 #include "queueing/giek1.h"
 #include "queueing/mg1_erlang_service.h"
 #include "queueing/tail_kernel.h"
+#include "reference/convolution.h"
+#include "reference/validation.h"
 #include "serve/engine.h"
 #include "serve/request.h"
 #include "sim/replication.h"

@@ -5,7 +5,7 @@
 // independent paths: the transform-domain pole expansion evaluated
 // directly (ErlangMixMgf), the compiled SoA tail kernels that replaced
 // it on hot paths (queueing::TailKernel), the adaptive-quadrature
-// convolution oracle (queueing/convolution.h), event-driven simulation,
+// convolution oracle (reference/convolution.h), event-driven simulation,
 // and the batched serving engine that wraps them all. Silent divergence
 // between any two of those paths is the worst failure mode of a
 // production deployment, so this harness cross-evaluates them over a

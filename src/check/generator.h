@@ -9,7 +9,7 @@
 // where the three independent evaluation paths historically disagree:
 // rho -> 0 (the waiting-time atom swallows every quantile), the
 // DEk1 degeneracy boundary (rho ~ 0.03..0.12, incl. the K = 20
-// pole-clash neighbourhood of queueing/convolution.h), rho -> 1
+// pole-clash neighbourhood of reference/convolution.h), rho -> 1
 // heavy traffic, K = 1 (the D/M/1 law), and epsilon down to 1e-7.
 #pragma once
 

@@ -162,17 +162,4 @@ class RttModel {
   std::unique_ptr<const queueing::TailKernel> total_kernel_;
 };
 
-/// Section-3.3 approximation of stochastic_quantile_ms() for the A1
-/// ablation: the epsilon-quantile [ms] from the dominant pole of eq. (35)
-/// alone; 0 when its residue is below epsilon, where the method
-/// degenerates.
-[[nodiscard]] double dominant_pole_quantile_ms(const RttModel& model,
-                                               double epsilon);
-
-/// Section-3.3 approximation of stochastic_quantile_ms() for the A1
-/// ablation: the epsilon-quantile [ms] implied by the Chernoff bound of
-/// eq. (36) on the factored product MGF (conservative).
-[[nodiscard]] double chernoff_quantile_ms(const RttModel& model,
-                                          double epsilon);
-
 }  // namespace fpsq::core

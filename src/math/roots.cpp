@@ -27,46 +27,6 @@ RootResult instrumented(const char* algorithm, Fn&& body) {
   }
 }
 
-RootResult bisect_impl(const std::function<double(double)>& f, double a,
-                       double b, double x_tol, int max_iter) {
-  double fa = f(a);
-  double fb = f(b);
-  if (!opposite_signs(fa, fb)) {
-    throw BracketError("bisect: bracket does not change sign");
-  }
-  RootResult r;
-  if (fa == 0.0) {
-    r = {a, 0.0, 0, true};
-    return r;
-  }
-  if (fb == 0.0) {
-    r = {b, 0.0, 0, true};
-    return r;
-  }
-  for (int i = 0; i < max_iter; ++i) {
-    const double m = 0.5 * (a + b);
-    const double fm = f(m);
-    r.iterations = i + 1;
-    if (fm == 0.0 || 0.5 * (b - a) < x_tol) {
-      r.root = m;
-      r.value = fm;
-      r.converged = true;
-      return r;
-    }
-    if (opposite_signs(fa, fm)) {
-      b = m;
-      fb = fm;
-    } else {
-      a = m;
-      fa = fm;
-    }
-  }
-  r.root = 0.5 * (a + b);
-  r.value = f(r.root);
-  r.converged = std::abs(b - a) < 2 * x_tol;
-  return r;
-}
-
 RootResult brent_impl(const std::function<double(double)>& f, double a,
                       double b, double x_tol, int max_iter) {
   double fa = f(a);
@@ -201,12 +161,6 @@ RootResult newton_safe_impl(const std::function<double(double)>& f,
 }
 
 }  // namespace
-
-RootResult bisect(const std::function<double(double)>& f, double a, double b,
-                  double x_tol, int max_iter) {
-  return instrumented("bisect",
-                      [&] { return bisect_impl(f, a, b, x_tol, max_iter); });
-}
 
 RootResult brent(const std::function<double(double)>& f, double a, double b,
                  double x_tol, int max_iter) {

@@ -21,17 +21,6 @@ class BracketError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-/// Plain bisection on a sign-changing bracket. Robust, linear convergence.
-///
-/// @param f  continuous function
-/// @param a,b  bracket with f(a) * f(b) <= 0
-/// @param x_tol  absolute tolerance on the abscissa
-/// @param max_iter  iteration cap
-/// @throws BracketError if the bracket does not change sign
-[[nodiscard]] RootResult bisect(const std::function<double(double)>& f,
-                                double a, double b, double x_tol = 1e-12,
-                                int max_iter = 200);
-
 /// Brent's method: inverse quadratic interpolation + secant + bisection.
 /// Superlinear on smooth functions, never worse than bisection.
 [[nodiscard]] RootResult brent(const std::function<double(double)>& f,

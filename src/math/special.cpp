@@ -129,16 +129,6 @@ double erlang_pdf(int k, double rate, double x) {
   return std::exp(lg);
 }
 
-double poisson_ccdf(std::int64_t n, double mu) {
-  if (mu < 0.0) {
-    throw std::domain_error("poisson_ccdf: requires mu >= 0");
-  }
-  if (n < 0) return 1.0;
-  if (mu == 0.0) return 0.0;
-  // P(N > n) = P(N >= n+1) = P(Erlang(n+1) arrival before mu) = P(a, mu)
-  return gamma_p(static_cast<double>(n) + 1.0, mu);
-}
-
 double poisson_pmf(std::int64_t n, double mu) {
   if (mu < 0.0 || n < 0) return 0.0;
   if (mu == 0.0) return n == 0 ? 1.0 : 0.0;
@@ -201,7 +191,5 @@ double binomial_sf(std::int64_t n, double p, std::int64_t k) {
   }
   return 1.0 - std::exp(lp0) * sum;
 }
-
-double log1p(double x) { return std::log1p(x); }
 
 }  // namespace fpsq::math

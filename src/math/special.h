@@ -32,9 +32,6 @@ namespace fpsq::math {
 /// Erlang(k, rate) density at x >= 0.
 [[nodiscard]] double erlang_pdf(int k, double rate, double x);
 
-/// P(Poisson(mu) > n) for n >= −1 (n = −1 gives 1).
-[[nodiscard]] double poisson_ccdf(std::int64_t n, double mu);
-
 /// P(Poisson(mu) = n).
 [[nodiscard]] double poisson_pmf(std::int64_t n, double mu);
 
@@ -44,9 +41,5 @@ namespace fpsq::math {
 /// Binomial tail P(Bin(n, p) >= k), computed by summing pmf terms in log
 /// space from the largest term outward. Exact-ish for n up to ~1e6.
 [[nodiscard]] double binomial_sf(std::int64_t n, double p, std::int64_t k);
-
-/// log(1 + x) accurate near 0 (thin wrapper over std::log1p, here so the
-/// queueing code only includes one math header).
-[[nodiscard]] double log1p(double x);
 
 }  // namespace fpsq::math

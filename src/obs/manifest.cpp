@@ -1,6 +1,5 @@
 #include "obs/manifest.h"
 
-#include <cstdio>
 #include <ctime>
 #include <thread>
 
@@ -48,9 +47,7 @@ std::string utc_now_iso8601() {
   gmtime_r(&now, &tm);
 #endif
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02dZ",
-                tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                tm.tm_min, tm.tm_sec);
+  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
   return buf;
 }
 

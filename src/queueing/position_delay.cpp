@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "math/quadrature.h"
 #include "math/special.h"
 #include "queueing/inversion.h"
 
@@ -117,23 +116,6 @@ ErlangMixture position_delay_uniform_mixture(int k, double beta) {
   std::vector<double> w(static_cast<std::size_t>(k - 1),
                         1.0 / static_cast<double>(k - 1));
   return ErlangMixture{beta, std::move(w)};
-}
-
-double position_delay_uniform_mgf_numeric(int k, double beta, double s) {
-  if (k < 1 || !(beta > 0.0)) {
-    throw std::invalid_argument(
-        "position_delay_uniform_mgf_numeric: k >= 1, beta > 0");
-  }
-  if (!(s < beta)) {
-    throw std::invalid_argument(
-        "position_delay_uniform_mgf_numeric: requires s < beta");
-  }
-  // Eq. (30): P(s) = int_0^1 (beta/(beta - s tau))^K dtau.
-  return math::integrate(
-      [k, beta, s](double tau) {
-        return std::pow(beta / (beta - s * tau), k);
-      },
-      0.0, 1.0, 1e-12);
 }
 
 }  // namespace fpsq::queueing

@@ -4,10 +4,9 @@
 //  * fixed position theta in [0,1] (eq. 32):
 //      P(s) = ((beta/theta) / (beta/theta - s))^K — an Erlang(K, beta/theta);
 //  * uniform position (eqs. 33-34, K >= 2): the uniform mixture of
-//      Erlang(j, beta), j = 1..K-1, each with weight 1/(K-1);
-//  * uniform position, K = 1 (eq. 33's log form, a branch point rather
-//    than a pole): the tail is provided directly by numerical integration;
-//    the paper's combined model excludes this case, and so does ours.
+//      Erlang(j, beta), j = 1..K-1, each with weight 1/(K-1). K = 1 (eq.
+//      33's log form, a branch point rather than a pole) is excluded, as
+//      in the paper's combined model.
 #pragma once
 
 #include <vector>
@@ -20,7 +19,7 @@ namespace fpsq::queueing {
 /// representation of an Erlang law of order > 1 (ErlangMixMgf keeps
 /// simple poles only). Tails are sums of *positive* regularized-gamma
 /// terms, immune to the cancellation that partial fractions suffer when
-/// other poles sit close to beta (see queueing/convolution.h).
+/// other poles sit close to beta (see reference/convolution.h).
 class ErlangMixture {
  public:
   /// weights[j-1] is the probability of the Erlang(j, beta) component;
@@ -52,10 +51,5 @@ class ErlangMixture {
 /// j = 1..K-1, weights 1/(K-1).
 [[nodiscard]] ErlangMixture position_delay_uniform_mixture(int k,
                                                            double beta);
-
-/// Direct numerical evaluation of eq. (30) — the MGF of the uniform
-/// position delay as an integral — used by tests to validate eq. (34).
-[[nodiscard]] double position_delay_uniform_mgf_numeric(int k, double beta,
-                                                        double s);
 
 }  // namespace fpsq::queueing

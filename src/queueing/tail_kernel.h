@@ -23,7 +23,7 @@
 //    closed form would amplify rounding by |zeta|^{-J}, a bounded series
 //    at beta. Everything at beta sums into one real Poisson group
 //    (docs/THEORY.md §1.1), so there is one exact path for every K and
-//    load; the adaptive-quadrature convolution in queueing/convolution.h
+//    load; the adaptive-quadrature convolution in reference/convolution.h
 //    stays the reference oracle;
 //  * quantiles run safeguarded Newton (analytic density as derivative)
 //    instead of 120-200 bisection steps.

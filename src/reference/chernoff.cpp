@@ -1,10 +1,10 @@
-#include "queueing/chernoff.h"
+#include "reference/chernoff.h"
 
 #include <cmath>
 #include <stdexcept>
 
-#include "math/minimize.h"
 #include "obs/solver_telemetry.h"
+#include "reference/minimize.h"
 
 namespace fpsq::queueing {
 

@@ -1,13 +1,13 @@
-#include "queueing/convolution.h"
+#include "reference/convolution.h"
 
 #include <algorithm>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
 
-#include "math/quadrature.h"
 #include "obs/metrics.h"
 #include "queueing/inversion.h"
+#include "reference/quadrature.h"
 
 namespace fpsq::queueing {
 
@@ -95,6 +95,23 @@ double convolved_quantile(const ErlangMixMgf& v, const ErlangMixture& y,
 
 double convolved_mean(const ErlangMixMgf& v, const ErlangMixture& y) {
   return v.mean() + y.mean();
+}
+
+double position_delay_uniform_mgf_numeric(int k, double beta, double s) {
+  if (k < 1 || !(beta > 0.0)) {
+    throw std::invalid_argument(
+        "position_delay_uniform_mgf_numeric: k >= 1, beta > 0");
+  }
+  if (!(s < beta)) {
+    throw std::invalid_argument(
+        "position_delay_uniform_mgf_numeric: requires s < beta");
+  }
+  // Eq. (30): P(s) = int_0^1 (beta/(beta - s tau))^K dtau.
+  return math::integrate(
+      [k, beta, s](double tau) {
+        return std::pow(beta / (beta - s * tau), k);
+      },
+      0.0, 1.0, 1e-12);
 }
 
 }  // namespace fpsq::queueing

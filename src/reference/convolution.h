@@ -18,7 +18,8 @@
 // the integral by adaptive Simpson to 1e-12.
 // Production evaluates the same law through queueing::TailKernel, which
 // convolves each pole exactly; this adaptive-quadrature integral is the
-// independent reference oracle for `fpsq check` and the tests.
+// independent reference oracle for `fpsq check` and the tests, as the
+// quadrature of eq. (30) is for the position-delay MGF of eq. (34).
 #pragma once
 
 #include "queueing/erlang_mix.h"
@@ -48,5 +49,10 @@ namespace fpsq::queueing {
 /// E[V + Y].
 [[nodiscard]] double convolved_mean(const ErlangMixMgf& v,
                                     const ErlangMixture& y);
+
+/// Direct numerical evaluation of eq. (30) — the MGF of the uniform
+/// position delay as an integral — used by tests to validate eq. (34).
+[[nodiscard]] double position_delay_uniform_mgf_numeric(int k, double beta,
+                                                        double s);
 
 }  // namespace fpsq::queueing

@@ -1,4 +1,4 @@
-#include "math/laplace.h"
+#include "reference/laplace.h"
 
 #include <cmath>
 #include <stdexcept>

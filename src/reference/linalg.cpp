@@ -1,4 +1,4 @@
-#include "math/linalg.h"
+#include "reference/linalg.h"
 
 #include <algorithm>
 #include <cmath>
@@ -68,14 +68,6 @@ CVector solve_vandermonde_transposed(const CVector& y, const CVector& b) {
     }
   }
   return solve_dense(std::move(a), b);
-}
-
-Complex polyval(const CVector& coeffs, Complex x) {
-  Complex acc{0.0, 0.0};
-  for (std::size_t i = coeffs.size(); i-- > 0;) {
-    acc = acc * x + coeffs[i];
-  }
-  return acc;
 }
 
 }  // namespace fpsq::math

@@ -24,7 +24,4 @@ using CMatrix = std::vector<std::vector<Complex>>;  // row-major
 [[nodiscard]] CVector solve_vandermonde_transposed(const CVector& y,
                                                    const CVector& b);
 
-/// Evaluates a polynomial with coefficients c[0] + c[1] x + ... by Horner.
-[[nodiscard]] Complex polyval(const CVector& coeffs, Complex x);
-
 }  // namespace fpsq::math

@@ -1,4 +1,4 @@
-#include "math/minimize.h"
+#include "reference/minimize.h"
 
 #include <cmath>
 #include <limits>

@@ -1,4 +1,4 @@
-#include "queueing/ndd1.h"
+#include "reference/ndd1.h"
 
 #include <algorithm>
 #include <cmath>
@@ -6,9 +6,9 @@
 #include <limits>
 #include <stdexcept>
 
-#include "math/minimize.h"
 #include "math/special.h"
 #include "obs/solver_telemetry.h"
+#include "reference/minimize.h"
 
 namespace fpsq::queueing {
 

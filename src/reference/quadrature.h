@@ -1,6 +1,6 @@
 // Adaptive Simpson quadrature. Used for validating closed-form MGFs
 // (e.g. the packet-position integral of eq. 30) against direct numerical
-// integration, by the convolution oracle in queueing/convolution.h, and
+// integration, by the convolution oracle in reference/convolution.h, and
 // for distribution sanity checks in tests.
 #pragma once
 

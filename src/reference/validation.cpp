@@ -1,10 +1,29 @@
-#include "core/validation.h"
+#include "reference/validation.h"
 
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace fpsq::core {
+
+sim::GamingScenarioConfig sim_config(const AccessScenario& scenario,
+                                     int n_clients,
+                                     const ValidationOptions& opt) {
+  sim::GamingScenarioConfig cfg;
+  cfg.n_clients = n_clients;
+  cfg.tick_ms = scenario.tick_ms;
+  cfg.client_packet_bytes = scenario.client_packet_bytes;
+  cfg.server_packet_bytes = scenario.server_packet_bytes;
+  cfg.erlang_k = scenario.erlang_k;
+  cfg.tick_jitter_cov = scenario.tick_jitter_cov;
+  cfg.uplink_bps = scenario.uplink_bps;
+  cfg.downlink_bps = scenario.downlink_bps;
+  cfg.bottleneck_bps = scenario.bottleneck_bps;
+  cfg.duration_s = opt.duration_s;
+  cfg.warmup_s = opt.warmup_s;
+  cfg.seed = opt.seed;
+  return cfg;
+}
 
 ValidationPoint validate_point(const AccessScenario& scenario, int n_clients,
                                const ValidationOptions& opt) {
@@ -45,21 +64,8 @@ ValidationPoint validate_point(const AccessScenario& scenario, int n_clients,
   p.model_rtt_ms = model.stochastic_quantile_ms(eps) + det_s * 1e3;
 
   // ---- simulation side ----
-  sim::GamingScenarioConfig cfg;
-  cfg.n_clients = n_clients;
-  cfg.tick_ms = scenario.tick_ms;
-  cfg.client_packet_bytes = scenario.client_packet_bytes;
-  cfg.server_packet_bytes = scenario.server_packet_bytes;
-  cfg.erlang_k = scenario.erlang_k;
-  cfg.tick_jitter_cov = scenario.tick_jitter_cov;
-  cfg.uplink_bps = scenario.uplink_bps;
-  cfg.downlink_bps = scenario.downlink_bps;
-  cfg.bottleneck_bps = scenario.bottleneck_bps;
-  cfg.duration_s = opt.duration_s;
-  cfg.warmup_s = opt.warmup_s;
-  cfg.seed = opt.seed;
-  cfg.store_samples = true;
-  const auto sim_result = sim::run_gaming_scenario(cfg);
+  const auto sim_result =
+      sim::run_gaming_scenario(sim_config(scenario, n_clients, opt));
 
   p.sim_up_ms = sim_result.upstream_wait.exact_quantile(opt.quantile_prob) *
                 1e3;

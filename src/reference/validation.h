@@ -39,6 +39,14 @@ struct ValidationOptions {
   std::uint64_t seed = 1;
 };
 
+/// The packet-level simulator's configuration for the scenario at
+/// `n_clients` over opt's duration, warm-up and seed: the one mapping of
+/// an AccessScenario onto sim::GamingScenarioConfig, shared by
+/// validate_point and `fpsq validate --reps`.
+[[nodiscard]] sim::GamingScenarioConfig sim_config(
+    const AccessScenario& scenario, int n_clients,
+    const ValidationOptions& opt);
+
 /// One comparison point at the scenario's parameters and client count.
 [[nodiscard]] ValidationPoint validate_point(const AccessScenario& scenario,
                                              int n_clients,

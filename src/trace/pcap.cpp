@@ -25,10 +25,6 @@ std::uint32_t bswap32(std::uint32_t v) {
          ((v & 0x00FF0000u) >> 8) | ((v & 0xFF000000u) >> 24);
 }
 
-std::uint16_t bswap16(std::uint16_t v) {
-  return static_cast<std::uint16_t>((v << 8) | (v >> 8));
-}
-
 /// File-order 32-bit read (pcap headers follow the file's own order).
 class HeaderReader {
  public:

@@ -10,7 +10,7 @@
 #include "err/error.h"
 #include "obs/metrics.h"
 #include "queueing/giek1.h"
-#include "queueing/lindley.h"
+#include "reference/lindley.h"
 
 namespace fpsq::core {
 namespace {

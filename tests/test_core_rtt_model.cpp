@@ -4,9 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/validation.h"
-#include "queueing/convolution.h"
 #include "queueing/inversion.h"
+#include "reference/convolution.h"
+#include "reference/rtt_approximations.h"
+#include "reference/validation.h"
 
 namespace fpsq::core {
 namespace {

@@ -5,12 +5,14 @@
 // time-scaling the downstream model obeys.
 #include <cmath>
 #include <complex>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/rtt_model.h"
-#include "math/laplace.h"
 #include "queueing/position_delay.h"
+#include "reference/laplace.h"
+#include "reference/rtt_approximations.h"
 
 namespace fpsq::core {
 namespace {
@@ -124,9 +126,13 @@ INSTANTIATE_TEST_SUITE_P(
                       GridPoint{20, 0.9, 40.0}, GridPoint{30, 0.6, 50.0}),
     [](const ::testing::TestParamInfo<GridPoint>& info) {
       const auto& p = info.param;
-      return "K" + std::to_string(p.k) + "_load" +
-             std::to_string(static_cast<int>(100 * p.load)) + "_T" +
-             std::to_string(static_cast<int>(p.tick_ms));
+      std::string name = "K";
+      name += std::to_string(p.k);
+      name += "_load";
+      name += std::to_string(static_cast<int>(100 * p.load));
+      name += "_T";
+      name += std::to_string(static_cast<int>(p.tick_ms));
+      return name;
     });
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "dist/dist.h"
-#include "math/quadrature.h"
+#include "reference/quadrature.h"
 
 namespace fpsq::dist {
 namespace {

@@ -1,4 +1,4 @@
-#include "math/laplace.h"
+#include "reference/laplace.h"
 
 #include <cmath>
 #include <complex>
@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "math/special.h"
-#include "queueing/convolution.h"
 #include "queueing/giek1.h"
+#include "reference/convolution.h"
 
 namespace fpsq::math {
 namespace {

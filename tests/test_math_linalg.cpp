@@ -1,4 +1,4 @@
-#include "math/linalg.h"
+#include "reference/linalg.h"
 
 #include <cmath>
 
@@ -74,17 +74,6 @@ TEST(VandermondeTransposed, MatchesDirectConstruction) {
   for (int j = 0; j < 3; ++j) {
     EXPECT_NEAR(std::abs(u[j] - u_true[j]), 0.0, 1e-11) << "j=" << j;
   }
-}
-
-TEST(Polyval, HornerAgainstDirect) {
-  const CVector c = {{1, 0}, {0, 2}, {3, 0}};  // 1 + 2i x + 3 x^2
-  const Complex x{0.5, -0.25};
-  const Complex direct = c[0] + c[1] * x + c[2] * x * x;
-  EXPECT_NEAR(std::abs(polyval(c, x) - direct), 0.0, 1e-14);
-}
-
-TEST(Polyval, EmptyPolynomialIsZero) {
-  EXPECT_EQ(polyval({}, Complex{1.0, 1.0}), (Complex{0.0, 0.0}));
 }
 
 }  // namespace

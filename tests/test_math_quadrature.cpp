@@ -1,4 +1,4 @@
-#include "math/quadrature.h"
+#include "reference/quadrature.h"
 
 #include <cmath>
 

@@ -155,7 +155,9 @@ TEST(ObsJson, ParseRejectsMalformedInput) {
 
 TEST(ObsJson, EscapeParseRoundTrip) {
   const std::string nasty = "q\"b\\s\ncr\rtab\tctl\x02 end";
-  const std::string doc = "\"" + escape(nasty) + "\"";
+  std::string doc = "\"";
+  doc += escape(nasty);
+  doc += '"';
   EXPECT_EQ(parse(doc).string, nasty);
 }
 

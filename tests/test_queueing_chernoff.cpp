@@ -1,4 +1,4 @@
-#include "queueing/chernoff.h"
+#include "reference/chernoff.h"
 
 #include <cmath>
 

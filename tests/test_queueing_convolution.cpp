@@ -1,13 +1,13 @@
-#include "queueing/convolution.h"
+#include "reference/convolution.h"
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "dist/erlang.h"
-#include "queueing/chernoff.h"
 #include "queueing/giek1.h"
 #include "queueing/tail_kernel.h"
+#include "reference/chernoff.h"
 #include "test_util.h"
 
 namespace fpsq::queueing {

@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "dist/erlang.h"
-#include "math/linalg.h"
-#include "queueing/convolution.h"
 #include "queueing/giek1.h"
+#include "reference/convolution.h"
+#include "reference/linalg.h"
 #include "test_util.h"
 
 namespace fpsq::queueing {

@@ -8,7 +8,7 @@
 
 #include "dist/erlang.h"
 #include "dist/gamma.h"
-#include "queueing/lindley.h"
+#include "reference/lindley.h"
 
 namespace fpsq::queueing {
 namespace {

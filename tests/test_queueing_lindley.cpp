@@ -1,4 +1,4 @@
-#include "queueing/lindley.h"
+#include "reference/lindley.h"
 
 #include <cmath>
 

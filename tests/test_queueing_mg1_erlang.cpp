@@ -6,8 +6,8 @@
 
 #include "dist/erlang.h"
 #include "queueing/giek1.h"
-#include "queueing/lindley.h"
 #include "queueing/mg1.h"
+#include "reference/lindley.h"
 
 namespace fpsq::queueing {
 namespace {

@@ -1,4 +1,4 @@
-#include "queueing/ndd1.h"
+#include "reference/ndd1.h"
 
 #include <algorithm>
 #include <cmath>

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "math/special.h"
+#include "reference/convolution.h"
 #include "test_util.h"
 
 namespace fpsq::queueing {

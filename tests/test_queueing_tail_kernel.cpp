@@ -7,9 +7,9 @@
 
 #include "err/error.h"
 #include "math/special.h"
-#include "queueing/convolution.h"
 #include "queueing/giek1.h"
 #include "queueing/position_delay.h"
+#include "reference/convolution.h"
 
 namespace fpsq::queueing {
 namespace {

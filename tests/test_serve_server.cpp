@@ -59,16 +59,19 @@ TEST(ServeServer, AnswersEveryAdmittedRequestInOrder) {
   // Nothing runs before drain(): everything lands in one deterministic
   // queue, executed as two chunks (4 + 2).
   for (int i = 0; i < 6; ++i) {
-    server.submit_line(
-        R"({"id":"r)" + std::to_string(i) + R"(","op":"rtt","gamers":60})",
-        sink);
+    std::string line = R"({"id":"r)";
+    line += std::to_string(i);
+    line += R"(","op":"rtt","gamers":60})";
+    server.submit_line(line, sink);
   }
   server.drain();
 
   const auto lines = sink->lines();
   ASSERT_EQ(lines.size(), 6u);
   for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(id_of(lines[i]), "r" + std::to_string(i));
+    std::string id = "r";
+    id += std::to_string(i);
+    EXPECT_EQ(id_of(lines[i]), id);
     EXPECT_EQ(error_code_of(lines[i]), "");
   }
 }

@@ -31,7 +31,6 @@
 
 #include "check/check.h"
 #include "core/report.h"
-#include "core/validation.h"
 #include "dist/fitting.h"
 #include "err/error.h"
 #include "obs/benchcompare.h"
@@ -41,6 +40,7 @@
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
+#include "reference/validation.h"
 #include "serve/engine.h"
 #include "serve/request.h"
 #include "serve/server.h"
@@ -640,21 +640,9 @@ int cmd_validate(const Args& args) {
   if (reps > 1) {
     // Independent replications in parallel (counter-based seeds), with
     // across-replication spread for the simulated quantiles.
-    sim::GamingScenarioConfig cfg;
-    cfg.n_clients = n;
-    cfg.tick_ms = s.tick_ms;
-    cfg.client_packet_bytes = s.client_packet_bytes;
-    cfg.server_packet_bytes = s.server_packet_bytes;
-    cfg.erlang_k = s.erlang_k;
-    cfg.tick_jitter_cov = s.tick_jitter_cov;
-    cfg.uplink_bps = s.uplink_bps;
-    cfg.downlink_bps = s.downlink_bps;
-    cfg.bottleneck_bps = s.bottleneck_bps;
-    cfg.duration_s = opt.duration_s;
-    cfg.warmup_s = opt.warmup_s;
-    cfg.seed = opt.seed;
     const double prob = opt.quantile_prob;
-    const auto results = sim::run_replications(cfg, reps);
+    const auto results =
+        sim::run_replications(core::sim_config(s, n, opt), reps);
     std::printf("load %.2f (N = %d), %zu x %.1f s simulated, "
                 "quantile %.4f\n",
                 rho, n, reps, opt.duration_s, prob);
